@@ -100,7 +100,9 @@ func (s *Store) append(ev trace.Event, perThread []int32) {
 	}
 }
 
-// grow preallocates the columns for n more events.
+// grow preallocates the columns for n events. Callers pass a count
+// bounded by the input's size (trace.EventsHint), never a header's
+// declared count as is: the columns still grow as events arrive.
 func (s *Store) grow(n int) {
 	if n <= 0 {
 		return
@@ -146,7 +148,7 @@ func Ingest(r io.Reader) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{meta: sc.Meta(), dropped: sc.Dropped(), truncated: sc.Dropped() > 0}
-	s.grow(sc.HeaderEvents())
+	s.grow(sc.Prealloc())
 	for {
 		ev, pt, err := sc.Next()
 		if err == io.EOF {

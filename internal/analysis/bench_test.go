@@ -57,14 +57,17 @@ func syntheticJSONL(n int) []byte {
 	return buf.Bytes()
 }
 
-// BenchmarkIngest1M guards the acceptance bound that a million-event
-// JSONL trace ingests in O(seconds): one iteration must stay well under a
-// second on any plausible machine, and the events/s metric makes
-// regressions visible in CI bench output.
+// BenchmarkIngest1M times ingesting a million-event JSONL trace (77 MB).
+// On a 2-CPU Intel Xeon VM (Go 1.24) one iteration takes about 0.5 s
+// with the hand-written decoder, against 7.0 s and 12.3M allocations with
+// the reflective decoder it replaced; the ~15k allocations left are the
+// store's columns and its copies of the batch shapes. The events/s metric
+// makes regressions visible in bench output.
 func BenchmarkIngest1M(b *testing.B) {
 	const n = 1_000_000
 	raw := syntheticJSONL(n)
 	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := Ingest(bytes.NewReader(raw))

@@ -88,7 +88,7 @@ func (li *LiveIngester) consumeLine(line []byte) error {
 		li.store.meta = meta
 		li.store.dropped = dropped
 		li.store.truncated = dropped > 0
-		li.store.grow(events)
+		li.store.grow(trace.EventsHint(events, -1))
 		return nil
 	}
 	ev, pt, err := trace.ParseEventLine(line)

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -96,6 +97,7 @@ type analysisCreatedView struct {
 // Truncated traces (dropped events, torn tail) are accepted: the report
 // covers the recorded prefix and carries truncated=true.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, s.maxUpload)
 	var (
 		raw []byte
 		opt analysis.Options
@@ -105,7 +107,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		dec := json.NewDecoder(r.Body)
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("parse request: %w", err))
+			httpError(w, bodyErrorStatus(err), fmt.Errorf("parse request: %w", err))
 			return
 		}
 		if req.Run == "" {
@@ -129,10 +131,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		raw = snap.Result.TraceEvents
 		opt = analysis.Options{WindowCycles: req.WindowCycles, TopK: req.TopK}
 	} else {
-		const maxTrace = 256 << 20
-		body, err := readAll(r.Body, maxTrace)
+		body, err := io.ReadAll(r.Body)
 		if err != nil {
-			httpError(w, http.StatusRequestEntityTooLarge, err)
+			httpError(w, bodyErrorStatus(err), fmt.Errorf("read trace: %w", err))
 			return
 		}
 		raw = body
@@ -219,18 +220,19 @@ func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 	w.Write(snap.Result.TraceEvents)
 }
 
-// readAll reads r up to limit bytes, erroring (rather than silently
-// truncating) past it.
-func readAll(r io.Reader, limit int64) ([]byte, error) {
-	var buf bytes.Buffer
-	n, err := buf.ReadFrom(io.LimitReader(r, limit+1))
-	if err != nil {
-		return nil, err
+// maxUploadBytes bounds one uploaded trace or snapshot: a POST
+// /v1/analysis body, or one arm of a POST /v1/analysis/diff upload (whose
+// whole body may hold two plus multipart framing). Larger bodies get 413.
+const maxUploadBytes = 256 << 20
+
+// bodyErrorStatus maps a request-body read error to its status: 413 when
+// the body exceeded its http.MaxBytesReader limit, 400 otherwise.
+func bodyErrorStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
 	}
-	if n > limit {
-		return nil, fmt.Errorf("trace body exceeds %d bytes", limit)
-	}
-	return buf.Bytes(), nil
+	return http.StatusBadRequest
 }
 
 func queryInt64(r *http.Request, key string) (int64, error) {

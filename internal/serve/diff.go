@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -129,6 +130,7 @@ func parseArmBytes(name string, raw []byte) (*analysis.Store, error) {
 //
 // Deltas are B − A throughout.
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, 2*s.maxUpload+1<<20)
 	fail := func(code int, err error) {
 		s.metrics.diffFailed()
 		httpError(w, code, err)
@@ -143,7 +145,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		dec := json.NewDecoder(r.Body)
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
-			fail(http.StatusBadRequest, fmt.Errorf("parse request: %w", err))
+			fail(bodyErrorStatus(err), fmt.Errorf("parse request: %w", err))
 			return
 		}
 		if req.A == "" || req.B == "" {
@@ -162,26 +164,30 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		}
 		opt = analysis.Options{WindowCycles: req.WindowCycles, TopK: req.TopK}
 	case strings.HasPrefix(ct, "multipart/"):
-		arm := func(name string) (*analysis.Store, error) {
-			f, _, err := r.FormFile(name)
+		arm := func(name string) (*analysis.Store, int, error) {
+			f, hdr, err := r.FormFile(name)
 			if err != nil {
-				return nil, fmt.Errorf("multipart part %q: %w", name, err)
+				return nil, bodyErrorStatus(err), fmt.Errorf("multipart part %q: %w", name, err)
 			}
 			defer f.Close()
-			const maxArm = 256 << 20
-			raw, err := readAll(f, maxArm)
-			if err != nil {
-				return nil, err
+			if hdr.Size > s.maxUpload {
+				return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("multipart part %q exceeds %d bytes", name, s.maxUpload)
 			}
-			return parseArmBytes(name, raw)
+			raw, err := io.ReadAll(f)
+			if err != nil {
+				return nil, http.StatusBadRequest, err
+			}
+			st, err := parseArmBytes(name, raw)
+			return st, http.StatusBadRequest, err
 		}
+		var code int
 		var err error
-		if sa, err = arm("a"); err != nil {
-			fail(http.StatusBadRequest, err)
+		if sa, code, err = arm("a"); err != nil {
+			fail(code, err)
 			return
 		}
-		if sb, err = arm("b"); err != nil {
-			fail(http.StatusBadRequest, err)
+		if sb, code, err = arm("b"); err != nil {
+			fail(code, err)
 			return
 		}
 		if opt, err = analysisQueryOptions(r); err != nil {

@@ -1,0 +1,118 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"mime/multipart"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/analysis"
+)
+
+// Hostile analysis uploads: a ~100-byte trace or snapshot whose header
+// declares 2^34 events must get a 201 over an empty store or a 4xx, in a
+// bounded heap, never an out-of-memory crash; bodies over the upload limit
+// get 413.
+
+const hugeTraceHeader = `{"schema":"parbs.trace/v1","kind":"run","policy":"PAR-BS","cores":2,"banks":2,"events":17179869184,"dropped":0}` + "\n"
+
+// hugeSnapshotUpload forges a snapshot header declaring 2^34 events over a
+// short body.
+func hugeSnapshotUpload() []byte {
+	hdr := `{"meta":{"policy":"PAR-BS","workload":"w","cores":2,"banks":2},"truncated":false,"dropped":0,"events":17179869184,"batches":0}`
+	var buf bytes.Buffer
+	buf.WriteString(analysis.Schema + "\n")
+	binary.Write(&buf, binary.LittleEndian, uint32(len(hdr)))
+	buf.WriteString(hdr)
+	buf.Write(make([]byte, 32))
+	return buf.Bytes()
+}
+
+// multipartArms builds a diff upload with parts a and b.
+func multipartArms(t *testing.T, a, b []byte) (string, *bytes.Buffer) {
+	t.Helper()
+	var body bytes.Buffer
+	mw := multipart.NewWriter(&body)
+	for name, data := range map[string][]byte{"a": a, "b": b} {
+		fw, err := mw.CreateFormFile(name, name+".bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw.Write(data)
+	}
+	if err := mw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return mw.FormDataContentType(), &body
+}
+
+// post sends body and reports the status and the heap the round trip
+// allocated (client, server and handler together).
+func post(t *testing.T, url, contentType string, body []byte) (int, uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	resp, err := http.Post(url, contentType, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readBody(t, resp)
+	runtime.ReadMemStats(&after)
+	return resp.StatusCode, after.TotalAlloc - before.TotalAlloc
+}
+
+func TestAnalysisHostileHeaderCounts(t *testing.T) {
+	sv := New(Options{Workers: 1, Runner: func(context.Context, Spec, Sink) (*Result, error) { return &Result{}, nil }})
+	defer sv.Shutdown(context.Background())
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+	const bound = 16 << 20
+
+	if code, n := post(t, ts.URL+"/v1/analysis", "application/x-ndjson", []byte(hugeTraceHeader)); code != http.StatusCreated || n > bound {
+		t.Errorf("trace declaring 2^34 events: status %d, %d bytes allocated; want 201 within %d", code, n, bound)
+	}
+	ct, body := multipartArms(t, hugeSnapshotUpload(), hugeSnapshotUpload())
+	if code, n := post(t, ts.URL+"/v1/analysis/diff", ct, body.Bytes()); code != http.StatusBadRequest || n > bound {
+		t.Errorf("snapshots declaring 2^34 events: status %d, %d bytes allocated; want 400 within %d", code, n, bound)
+	}
+	ct, body = multipartArms(t, []byte(hugeTraceHeader), []byte(hugeTraceHeader))
+	if code, n := post(t, ts.URL+"/v1/analysis/diff", ct, body.Bytes()); code != http.StatusCreated || n > bound {
+		t.Errorf("trace arms declaring 2^34 events: status %d, %d bytes allocated; want 201 within %d", code, n, bound)
+	}
+}
+
+func TestAnalysisUploadLimit(t *testing.T) {
+	sv := New(Options{Workers: 1, Runner: func(context.Context, Spec, Sink) (*Result, error) { return &Result{}, nil }})
+	defer sv.Shutdown(context.Background())
+	sv.maxUpload = 1024
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+
+	big := []byte(hugeTraceHeader + strings.Repeat(" ", 4096))
+	if code, _ := post(t, ts.URL+"/v1/analysis", "application/x-ndjson", big); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized trace: status %d, want 413", code)
+	}
+	if code, _ := post(t, ts.URL+"/v1/analysis", "application/json", []byte(`{"run":"`+strings.Repeat("x", 4096)+`"}`)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized JSON form: status %d, want 413", code)
+	}
+	if code, _ := post(t, ts.URL+"/v1/analysis", "application/x-ndjson", []byte(hugeTraceHeader)); code != http.StatusCreated {
+		t.Errorf("trace under the limit: status %d, want 201", code)
+	}
+	// One oversized arm within the whole-body allowance (2 × limit + framing).
+	ct, body := multipartArms(t, []byte(hugeTraceHeader), big)
+	if code, _ := post(t, ts.URL+"/v1/analysis/diff", ct, body.Bytes()); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized diff arm: status %d, want 413", code)
+	}
+	// A body beyond the whole-body allowance.
+	huge := bytes.Repeat([]byte("x"), 2<<20)
+	ct, body = multipartArms(t, huge, huge)
+	if code, _ := post(t, ts.URL+"/v1/analysis/diff", ct, body.Bytes()); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized diff body: status %d, want 413", code)
+	}
+}

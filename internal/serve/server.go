@@ -65,6 +65,9 @@ type Server struct {
 	metrics  *Metrics
 	pool     *pool
 	mux      *http.ServeMux
+	// maxUpload bounds one uploaded trace or snapshot (maxUploadBytes;
+	// tests lower it).
+	maxUpload int64
 
 	// baseCtx parents every job execution; cancel is the hard-abort used
 	// when a graceful drain overruns its deadline.
@@ -106,6 +109,8 @@ func New(opts Options) *Server {
 		diffs:    newDiffStore(opts.MaxAnalyses),
 		metrics:  metrics,
 		queue:    newQueue(adm, opts.QueueCap),
+
+		maxUpload: maxUploadBytes,
 	}
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.pool = startPool(opts.Workers, s.queue, s.runJob)

@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
+	"strconv"
 
 	"repro/internal/dram"
 )
@@ -19,25 +17,6 @@ import (
 // timestamps — absolute wall time is meaningless for a simulator, and the
 // 1:1 mapping keeps cycle arithmetic readable in the UI.
 
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	PID   int            `json:"pid"`
-	TID   int32          `json:"tid"`
-	TS    int64          `json:"ts"`
-	Dur   *int64         `json:"dur,omitempty"`
-	ID    *int64         `json:"id,omitempty"`
-	Cat   string         `json:"cat,omitempty"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-type chromeFile struct {
-	TraceEvents     []chromeEvent  `json:"traceEvents"`
-	DisplayTimeUnit string         `json:"displayTimeUnit"`
-	OtherData       map[string]any `json:"otherData"`
-}
-
 // reqSpan accumulates one request's lifecycle while scanning the event
 // stream, until its completion event folds it into an "X" span.
 type reqSpan struct {
@@ -50,71 +29,114 @@ type reqSpan struct {
 	write    bool
 }
 
+// chromeWriter streams trace events. It writes the bytes encoding/json
+// wrote for the former reflective document: fields in declaration order
+// (name, ph, pid, tid, ts, then dur, id, cat, s and args when set), args
+// keys sorted, and strings HTML-escaped.
+type chromeWriter struct {
+	w      io.Writer
+	buf    []byte
+	events int
+	err    error
+}
+
+// begin opens one trace event: its name, phase, process, track and
+// timestamp. The caller appends the optional fields, then calls end.
+func (c *chromeWriter) begin(name string, ph string, pid int, tid int32, ts int64) {
+	if c.events > 0 {
+		c.buf = append(c.buf, ',')
+	}
+	c.events++
+	c.buf = appendString(append(c.buf, `{"name":`...), name)
+	c.head(ph, pid, tid, ts)
+}
+
+// head writes the fields that follow an event's name.
+func (c *chromeWriter) head(ph string, pid int, tid int32, ts int64) {
+	c.buf = append(c.buf, `,"ph":"`...)
+	c.buf = append(c.buf, ph...)
+	c.buf = appendInt(c.buf, `","pid":`, int64(pid))
+	c.buf = appendInt(c.buf, `,"tid":`, int64(tid))
+	c.buf = appendInt(c.buf, `,"ts":`, ts)
+}
+
+// beginNumbered opens an event named prefix followed by n, a name that
+// needs no escaping.
+func (c *chromeWriter) beginNumbered(prefix string, n int64, ph string, pid int, tid int32, ts int64) {
+	if c.events > 0 {
+		c.buf = append(c.buf, ',')
+	}
+	c.events++
+	c.buf = append(append(c.buf, `{"name":"`...), prefix...)
+	c.buf = append(strconv.AppendInt(c.buf, n, 10), '"')
+	c.head(ph, pid, tid, ts)
+}
+
+// end closes the event and hands full buffers to the writer.
+func (c *chromeWriter) end() {
+	c.buf = append(c.buf, '}')
+	if len(c.buf) >= flushAt && c.err == nil {
+		_, c.err = c.w.Write(c.buf)
+		c.buf = c.buf[:0]
+	}
+}
+
 // WriteChrome renders the log as Chrome trace-event JSON.
 func WriteChrome(w io.Writer, log *Log) error {
-	bw := bufio.NewWriter(w)
-	out := chromeFile{
-		TraceEvents:     make([]chromeEvent, 0, len(log.Events)+2*log.Meta.Cores),
-		DisplayTimeUnit: "ns",
-		OtherData: map[string]any{
-			"schema":      Schema,
-			"policy":      log.Meta.Policy,
-			"workload":    log.Meta.Workload,
-			"marking_cap": log.Meta.MarkingCap,
-			"read_buf":    log.Meta.ReadBufEntries,
-			"time_unit":   "1 ts = 1 DRAM cycle",
-			"dropped":     log.Dropped,
-		},
-	}
-	add := func(ev chromeEvent) { out.TraceEvents = append(out.TraceEvents, ev) }
+	c := &chromeWriter{w: w, buf: make([]byte, 0, flushAt+1024)}
+	c.buf = append(c.buf, `{"traceEvents":[`...)
 
-	add(chromeEvent{Name: "process_name", Phase: "M", PID: 0,
-		Args: map[string]any{"name": "memory requests (" + log.Meta.Policy + ")"}})
-	add(chromeEvent{Name: "process_name", Phase: "M", PID: 1,
-		Args: map[string]any{"name": "scheduler batches"}})
+	c.begin("process_name", "M", 0, 0, 0)
+	c.buf = appendString(append(c.buf, `,"args":{"name":`...), "memory requests ("+log.Meta.Policy+")")
+	c.buf = append(c.buf, '}')
+	c.end()
+	c.begin("process_name", "M", 1, 0, 0)
+	c.buf = append(c.buf, `,"args":{"name":"scheduler batches"}`...)
+	c.end()
 	for t := 0; t < log.Meta.Cores; t++ {
-		add(chromeEvent{Name: "thread_name", Phase: "M", PID: 0, TID: int32(t),
-			Args: map[string]any{"name": fmt.Sprintf("thread %d", t)}})
+		c.begin("thread_name", "M", 0, int32(t), 0)
+		c.buf = append(strconv.AppendInt(append(c.buf, `,"args":{"name":"thread `...), int64(t), 10), `"}`...)
+		c.end()
 	}
 
-	live := make(map[int64]*reqSpan)
+	live := make(map[int64]reqSpan)
 	for _, ev := range log.Events {
 		switch ev.Kind {
 		case KindArrive:
-			live[ev.Req] = &reqSpan{arrival: ev.Cycle, marked: -1, batch: -1,
+			live[ev.Req] = reqSpan{arrival: ev.Cycle, marked: -1, batch: -1,
 				firstCmd: -1, bank: ev.Bank, row: ev.Row, write: ev.Write}
 		case KindMark:
-			if r := live[ev.Req]; r != nil {
+			if r, ok := live[ev.Req]; ok {
 				r.marked = ev.Cycle
 				r.batch = ev.Row
+				live[ev.Req] = r
 			}
 		case KindCommand:
-			name := dram.Command(ev.Cmd).String()
-			if r := live[ev.Req]; r != nil && r.firstCmd < 0 {
+			if r, ok := live[ev.Req]; ok && r.firstCmd < 0 {
 				r.firstCmd = ev.Cycle
+				live[ev.Req] = r
 			}
 			tid := ev.Thread
 			if tid < 0 {
 				tid = int32(log.Meta.Cores) // controller/refresh track
 			}
-			add(chromeEvent{Name: name, Phase: "i", PID: 0, TID: tid,
-				TS: ev.Cycle, Cat: "cmd", Scope: "t",
-				Args: map[string]any{"id": ev.Req, "bank": ev.Bank,
-					"row": ev.Row, "rank": ev.Rank}})
+			c.begin(dram.Command(ev.Cmd).String(), "i", 0, tid, ev.Cycle)
+			c.buf = append(c.buf, `,"cat":"cmd","s":"t"`...)
+			c.buf = appendInt(c.buf, `,"args":{"bank":`, int64(ev.Bank))
+			c.buf = appendInt(c.buf, `,"id":`, ev.Req)
+			c.buf = appendInt(c.buf, `,"rank":`, int64(ev.Rank))
+			c.buf = appendInt(c.buf, `,"row":`, ev.Row)
+			c.buf = append(c.buf, '}')
+			c.end()
 		case KindComplete:
-			r := live[ev.Req]
-			if r == nil {
+			r, ok := live[ev.Req]
+			if !ok {
 				continue // arrived before tracing started
 			}
 			delete(live, ev.Req)
-			dur := ev.Cycle - r.arrival
-			kind := "RD"
+			prefix := "RD req "
 			if r.write {
-				kind = "WR"
-			}
-			args := map[string]any{
-				"id": ev.Req, "bank": r.bank, "row": r.row,
-				"latency": ev.Row,
+				prefix = "WR req "
 			}
 			// Wait decomposition mirrors the analyzer: unmarked-queued,
 			// marked-waiting, service (see analyze.go).
@@ -122,36 +144,57 @@ func WriteChrome(w io.Writer, log *Log) error {
 			if markEnd < 0 {
 				markEnd = ev.Cycle
 			}
+			waitUnmarked, waitMarked := markEnd-r.arrival, int64(0)
 			if r.marked >= 0 {
-				args["batch"] = r.batch
-				args["wait_unmarked"] = r.marked - r.arrival
-				args["wait_marked"] = markEnd - r.marked
-			} else {
-				args["wait_unmarked"] = markEnd - r.arrival
-				args["wait_marked"] = 0
+				waitUnmarked, waitMarked = r.marked-r.arrival, markEnd-r.marked
 			}
-			args["service"] = ev.Cycle - markEnd
-			add(chromeEvent{Name: fmt.Sprintf("%s req %d", kind, ev.Req),
-				Phase: "X", PID: 0, TID: ev.Thread, TS: r.arrival, Dur: &dur,
-				Cat: "request", Args: args})
+			c.beginNumbered(prefix, ev.Req, "X", 0, ev.Thread, r.arrival)
+			c.buf = appendInt(c.buf, `,"dur":`, ev.Cycle-r.arrival)
+			c.buf = append(c.buf, `,"cat":"request"`...)
+			c.buf = appendInt(c.buf, `,"args":{"bank":`, int64(r.bank))
+			if r.marked >= 0 {
+				c.buf = appendInt(c.buf, `,"batch":`, r.batch)
+			}
+			c.buf = appendInt(c.buf, `,"id":`, ev.Req)
+			c.buf = appendInt(c.buf, `,"latency":`, ev.Row)
+			c.buf = appendInt(c.buf, `,"row":`, r.row)
+			c.buf = appendInt(c.buf, `,"service":`, ev.Cycle-markEnd)
+			c.buf = appendInt(c.buf, `,"wait_marked":`, waitMarked)
+			c.buf = appendInt(c.buf, `,"wait_unmarked":`, waitUnmarked)
+			c.buf = append(c.buf, '}')
+			c.end()
 		case KindBatch:
-			id := ev.Req
-			args := map[string]any{"size": ev.Row, "clipped": ev.Rank}
-			add(chromeEvent{Name: fmt.Sprintf("batch %d", ev.Req), Phase: "b",
-				PID: 1, TS: ev.Cycle, ID: &id, Cat: "batch", Args: args})
+			c.beginNumbered("batch ", ev.Req, "b", 1, 0, ev.Cycle)
+			c.buf = appendInt(c.buf, `,"id":`, ev.Req)
+			c.buf = append(c.buf, `,"cat":"batch"`...)
+			c.buf = appendInt(c.buf, `,"args":{"clipped":`, int64(ev.Rank))
+			c.buf = appendInt(c.buf, `,"size":`, ev.Row)
+			c.buf = append(c.buf, '}')
+			c.end()
 		case KindBatchEnd:
-			id := ev.Req
-			add(chromeEvent{Name: fmt.Sprintf("batch %d", ev.Req), Phase: "e",
-				PID: 1, TS: ev.Cycle, ID: &id, Cat: "batch",
-				Args: map[string]any{"duration": ev.Row}})
+			c.beginNumbered("batch ", ev.Req, "e", 1, 0, ev.Cycle)
+			c.buf = appendInt(c.buf, `,"id":`, ev.Req)
+			c.buf = append(c.buf, `,"cat":"batch"`...)
+			c.buf = appendInt(c.buf, `,"args":{"duration":`, ev.Row)
+			c.buf = append(c.buf, '}')
+			c.end()
 		}
 	}
 
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(out); err != nil {
-		return err
+	// otherData keys in encoding/json's sorted map order.
+	c.buf = appendInt(c.buf, `],"displayTimeUnit":"ns","otherData":{"dropped":`, log.Dropped)
+	c.buf = appendInt(c.buf, `,"marking_cap":`, int64(log.Meta.MarkingCap))
+	c.buf = appendString(append(c.buf, `,"policy":`...), log.Meta.Policy)
+	c.buf = appendInt(c.buf, `,"read_buf":`, int64(log.Meta.ReadBufEntries))
+	c.buf = appendString(append(c.buf, `,"schema":`...), Schema)
+	c.buf = append(c.buf, `,"time_unit":"1 ts = 1 DRAM cycle"`...)
+	c.buf = appendString(append(c.buf, `,"workload":`...), log.Meta.Workload)
+	c.buf = append(c.buf, "}}\n"...)
+	if c.err != nil {
+		return c.err
 	}
-	return bw.Flush()
+	_, err := c.w.Write(c.buf)
+	return err
 }
 
 // WriteChrome renders the tracer's recorded run as Chrome trace-event JSON.

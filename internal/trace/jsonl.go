@@ -1,19 +1,17 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
-
-	"repro/internal/dram"
+	"slices"
 )
 
 // JSONL wire format: one JSON object per line. The first line is the run
-// header carrying Schema and the Meta fields; every following line is one
-// event, discriminated by "kind". Field order is fixed by the structs
-// below so a write → read → write cycle is byte-identical (the schema pin
-// test relies on this).
+// header carrying Schema and the Meta fields (runLine, encoded by
+// encoding/json); every following line is one event, discriminated by
+// "kind" and written and read by the hand-written codec in codec.go. Field
+// order is fixed, so a write → read → write cycle is byte-identical (the
+// schema pin and golden digest tests rely on this).
 
 type runLine struct {
 	Schema     string `json:"schema"`
@@ -30,65 +28,6 @@ type runLine struct {
 	ReadBuf    int    `json:"read_buf"`
 	Events     int    `json:"events"`
 	Dropped    int64  `json:"dropped"`
-}
-
-type arriveLine struct {
-	Kind    string `json:"kind"`
-	Cycle   int64  `json:"cycle"`
-	ID      int64  `json:"id"`
-	Thread  int32  `json:"thread"`
-	Bank    int32  `json:"bank"`
-	Row     int64  `json:"row"`
-	Write   bool   `json:"write"`
-	Channel int32  `json:"channel,omitempty"`
-}
-
-type markLine struct {
-	Kind    string `json:"kind"`
-	Cycle   int64  `json:"cycle"`
-	ID      int64  `json:"id"`
-	Thread  int32  `json:"thread"`
-	Batch   int64  `json:"batch"`
-	Channel int32  `json:"channel,omitempty"`
-}
-
-type cmdLine struct {
-	Kind    string `json:"kind"`
-	Cycle   int64  `json:"cycle"`
-	ID      int64  `json:"id"`
-	Thread  int32  `json:"thread"`
-	Cmd     string `json:"cmd"`
-	Bank    int32  `json:"bank"`
-	Row     int64  `json:"row"`
-	Rank    int32  `json:"rank"`
-	Channel int32  `json:"channel,omitempty"`
-}
-
-type doneLine struct {
-	Kind    string `json:"kind"`
-	Cycle   int64  `json:"cycle"`
-	ID      int64  `json:"id"`
-	Thread  int32  `json:"thread"`
-	Latency int64  `json:"latency"`
-	Channel int32  `json:"channel,omitempty"`
-}
-
-type batchLine struct {
-	Kind      string  `json:"kind"`
-	Cycle     int64   `json:"cycle"`
-	Batch     int64   `json:"batch"`
-	Size      int64   `json:"size"`
-	Clipped   int32   `json:"clipped"`
-	PerThread []int32 `json:"per_thread"`
-	Channel   int32   `json:"channel,omitempty"`
-}
-
-type batchEndLine struct {
-	Kind     string `json:"kind"`
-	Cycle    int64  `json:"cycle"`
-	Batch    int64  `json:"batch"`
-	Duration int64  `json:"duration"`
-	Channel  int32  `json:"channel,omitempty"`
 }
 
 // headerLine builds the run header line with explicit event/drop counts
@@ -113,40 +52,23 @@ func headerLine(meta Meta, events int, dropped int64) runLine {
 	}
 }
 
-// eventLine builds the wire struct for one event. pt is the per-thread
-// shape for KindBatch events (nil otherwise).
-func eventLine(ev Event, pt []int32) (any, error) {
-	switch ev.Kind {
-	case KindArrive:
-		return arriveLine{Kind: "arrive", Cycle: ev.Cycle, ID: ev.Req,
-			Thread: ev.Thread, Bank: ev.Bank, Row: ev.Row, Write: ev.Write,
-			Channel: ev.Channel}, nil
-	case KindMark:
-		return markLine{Kind: "mark", Cycle: ev.Cycle, ID: ev.Req,
-			Thread: ev.Thread, Batch: ev.Row, Channel: ev.Channel}, nil
-	case KindCommand:
-		return cmdLine{Kind: "cmd", Cycle: ev.Cycle, ID: ev.Req,
-			Thread: ev.Thread, Cmd: dram.Command(ev.Cmd).String(),
-			Bank: ev.Bank, Row: ev.Row, Rank: ev.Rank, Channel: ev.Channel}, nil
-	case KindComplete:
-		return doneLine{Kind: "done", Cycle: ev.Cycle, ID: ev.Req,
-			Thread: ev.Thread, Latency: ev.Row, Channel: ev.Channel}, nil
-	case KindBatch:
-		return batchLine{Kind: "batch", Cycle: ev.Cycle, Batch: ev.Req,
-			Size: ev.Row, Clipped: ev.Rank, PerThread: pt, Channel: ev.Channel}, nil
-	case KindBatchEnd:
-		return batchEndLine{Kind: "batch_end", Cycle: ev.Cycle,
-			Batch: ev.Req, Duration: ev.Row, Channel: ev.Channel}, nil
-	default:
-		return nil, fmt.Errorf("trace: unknown event kind %d", ev.Kind)
+// appendHeaderLine appends the header line, encoded by encoding/json.
+func appendHeaderLine(dst []byte, meta Meta, events int, dropped int64) ([]byte, error) {
+	line, err := json.Marshal(headerLine(meta, events, dropped))
+	if err != nil {
+		return dst, err
 	}
+	return append(append(dst, line...), '\n'), nil
 }
+
+// flushAt is the buffered output size at which the writers hand their
+// buffer to the underlying writer.
+const flushAt = 64 << 10
 
 // WriteJSONL renders the log as schema-versioned JSONL.
 func WriteJSONL(w io.Writer, log *Log) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(headerLine(log.Meta, len(log.Events), log.Dropped)); err != nil {
+	buf, err := appendHeaderLine(make([]byte, 0, flushAt+512), log.Meta, len(log.Events), log.Dropped)
+	if err != nil {
 		return err
 	}
 	batch := 0
@@ -158,15 +80,18 @@ func WriteJSONL(w io.Writer, log *Log) error {
 			}
 			batch++
 		}
-		line, err := eventLine(ev, pt)
-		if err != nil {
+		if buf, err = appendEventLine(buf, ev, pt); err != nil {
 			return err
 		}
-		if err := enc.Encode(line); err != nil {
-			return err
+		if len(buf) >= flushAt {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
 	}
-	return bw.Flush()
+	_, err = w.Write(buf)
+	return err
 }
 
 // Cursor incrementally renders a tracer's recorded events as parbs.trace/v1
@@ -186,6 +111,7 @@ type Cursor struct {
 	next       int // first event not yet rendered
 	batches    int // KindBatch events rendered so far (batchPT index)
 	headerDone bool
+	buf        []byte // rendering scratch, reused across calls
 }
 
 // NewCursor returns a cursor positioned at the start of t's event stream.
@@ -196,12 +122,27 @@ func (t *Tracer) NewCursor() *Cursor { return &Cursor{t: t} }
 func (t *Tracer) Bound() bool { return t.bound }
 
 // WriteNew renders every event recorded since the previous call (plus the
-// header line on the first call) and advances the cursor.
+// header line on the first call) and advances the cursor. The chunk goes
+// to w in one Write; on an event it cannot encode, the lines before it are
+// still written.
 func (c *Cursor) WriteNew(w io.Writer) error {
-	enc := json.NewEncoder(w)
+	buf, err := c.render(c.buf[:0])
+	c.buf = buf
+	if len(buf) > 0 {
+		if _, werr := w.Write(buf); werr != nil {
+			return werr
+		}
+	}
+	return err
+}
+
+// render appends the header (first call only) and the new event lines to
+// buf, stopping at the first event it cannot encode.
+func (c *Cursor) render(buf []byte) ([]byte, error) {
 	if !c.headerDone {
-		if err := enc.Encode(headerLine(c.t.meta, 0, 0)); err != nil {
-			return err
+		var err error
+		if buf, err = appendHeaderLine(buf, c.t.meta, 0, 0); err != nil {
+			return buf, err
 		}
 		c.headerDone = true
 	}
@@ -214,78 +155,38 @@ func (c *Cursor) WriteNew(w io.Writer) error {
 			}
 			c.batches++
 		}
-		line, err := eventLine(ev, pt)
+		line, err := appendEventLine(buf, ev, pt)
 		if err != nil {
-			return err
+			return buf, err
 		}
-		if err := enc.Encode(line); err != nil {
-			return err
-		}
+		buf = line
 	}
-	return nil
+	return buf, nil
 }
 
 // WriteJSONL renders the tracer's recorded run as schema-versioned JSONL.
 func (t *Tracer) WriteJSONL(w io.Writer) error { return WriteJSONL(w, t.Log()) }
 
-// commandByName maps the wire mnemonics back to dram.Command ordinals.
-var commandByName = map[string]dram.Command{
-	dram.CmdNone.String():      dram.CmdNone,
-	dram.CmdActivate.String():  dram.CmdActivate,
-	dram.CmdPrecharge.String(): dram.CmdPrecharge,
-	dram.CmdRead.String():      dram.CmdRead,
-	dram.CmdWrite.String():     dram.CmdWrite,
-	dram.CmdRefresh.String():   dram.CmdRefresh,
-}
-
 // ReadLog parses a JSONL event log produced by WriteJSONL. It rejects
-// streams whose header schema is not Schema.
+// streams whose header schema is not Schema, and unlike the Scanner it
+// refuses a damaged event stream instead of returning its prefix.
 func ReadLog(r io.Reader) (*Log, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
+	sc, err := NewScanner(r)
+	if err != nil {
+		return nil, err
+	}
+	log := &Log{Meta: sc.Meta(), Dropped: sc.Dropped(), Events: make([]Event, 0, sc.Prealloc())}
+	for {
+		ev, perThread, err := sc.Next()
+		if err == io.EOF {
+			return log, nil
 		}
-		return nil, fmt.Errorf("trace: empty log")
-	}
-	var hdr runLine
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, fmt.Errorf("trace: bad header: %w", err)
-	}
-	if hdr.Schema != Schema {
-		return nil, fmt.Errorf("trace: schema %q, want %q", hdr.Schema, Schema)
-	}
-	log := &Log{
-		Meta: Meta{
-			Policy:         hdr.Policy,
-			Workload:       hdr.Workload,
-			Cores:          hdr.Cores,
-			Banks:          hdr.Banks,
-			Channels:       hdr.Channels,
-			CPUPerDRAM:     hdr.CPUPerDRAM,
-			WarmupDRAM:     hdr.WarmupDRAM,
-			TotalDRAM:      hdr.TotalDRAM,
-			MarkingCap:     hdr.MarkingCap,
-			ReadBufEntries: hdr.ReadBuf,
-		},
-		Dropped: hdr.Dropped,
-		Events:  make([]Event, 0, hdr.Events),
-	}
-	lineNo := 1
-	for sc.Scan() {
-		lineNo++
-		ev, perThread, err := parseEventLine(sc.Bytes())
 		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
+			return nil, err
 		}
 		log.Events = append(log.Events, ev)
 		if ev.Kind == KindBatch {
-			log.BatchPerThread = append(log.BatchPerThread, perThread)
+			log.BatchPerThread = append(log.BatchPerThread, slices.Clone(perThread))
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return log, nil
 }

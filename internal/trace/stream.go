@@ -28,11 +28,13 @@ var ErrTruncated = errors.New("trace: event stream truncated mid-line")
 // Construct with NewScanner (which consumes and validates the header),
 // then call Next until it returns io.EOF or ErrTruncated.
 type Scanner struct {
-	sc     *bufio.Scanner
-	meta   Meta
-	drops  int64
-	events int // header's event count, informational
-	lineNo int
+	sc       *bufio.Scanner
+	dec      lineDecoder
+	meta     Meta
+	drops    int64
+	events   int // header's event count, informational
+	prealloc int // events, bounded by the input size
+	lineNo   int
 }
 
 // NewScanner consumes the stream's header line and prepares event
@@ -40,6 +42,7 @@ type Scanner struct {
 // schema other than Schema — a damaged header leaves nothing trustworthy
 // to analyze.
 func NewScanner(r io.Reader) (*Scanner, error) {
+	avail := inputLen(r)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	if !sc.Scan() {
@@ -53,11 +56,12 @@ func NewScanner(r io.Reader) (*Scanner, error) {
 		return nil, err
 	}
 	return &Scanner{
-		sc:     sc,
-		meta:   meta,
-		drops:  dropped,
-		events: events,
-		lineNo: 1,
+		sc:       sc,
+		meta:     meta,
+		drops:    dropped,
+		events:   events,
+		prealloc: EventsHint(events, avail),
+		lineNo:   1,
 	}, nil
 }
 
@@ -87,14 +91,6 @@ func ParseHeader(raw []byte) (meta Meta, dropped int64, events int, err error) {
 	}, hdr.Dropped, hdr.Events, nil
 }
 
-// ParseEventLine decodes one JSONL event line. perThread is non-nil only
-// for KindBatch lines and aliases the decode buffer — copy it before the
-// raw bytes are reused. Exported for line-at-a-time consumers that cannot
-// hand the Scanner a contiguous reader (live tailing of a growing stream).
-func ParseEventLine(raw []byte) (Event, []int32, error) {
-	return parseEventLine(raw)
-}
-
 // Meta returns the run metadata from the header line.
 func (s *Scanner) Meta() Meta { return s.meta }
 
@@ -103,18 +99,53 @@ func (s *Scanner) Meta() Meta { return s.meta }
 func (s *Scanner) Dropped() int64 { return s.drops }
 
 // HeaderEvents returns the event count the header promised; a stream that
-// ends early (ErrTruncated) delivers fewer.
+// ends early (ErrTruncated) delivers fewer. The count is unchecked input:
+// size buffers by Prealloc instead.
 func (s *Scanner) HeaderEvents() int { return s.events }
+
+// Prealloc returns HeaderEvents bounded by what the input can hold (see
+// EventsHint): a safe capacity for buffers that will receive the events.
+func (s *Scanner) Prealloc() int { return s.prealloc }
+
+// minEventLine is the length of the shortest event line the decoder
+// accepts, {"kind":"mark"}, plus its newline.
+const minEventLine = 16
+
+// blindPrealloc caps preallocation when the input size is unknown.
+const blindPrealloc = 1 << 16
+
+// EventsHint bounds a header's declared event count, which the input may
+// misstate, by the events the input can hold: one per minEventLine bytes
+// of avail, or blindPrealloc when avail is negative (unknown). Buffers
+// sized by it grow as events arrive; a header that declares 2^34 events
+// in a 100-byte stream cannot make a reader allocate for them.
+func EventsHint(declared, avail int) int {
+	limit := blindPrealloc
+	if avail >= 0 {
+		limit = avail/minEventLine + 1
+	}
+	return max(0, min(declared, limit))
+}
+
+// inputLen returns the unread length of readers that know it
+// (bytes.Reader, strings.Reader, bytes.Buffer), or -1.
+func inputLen(r io.Reader) int {
+	if l, ok := r.(interface{ Len() int }); ok {
+		return l.Len()
+	}
+	return -1
+}
 
 // Line returns the 1-based line number of the most recently read line.
 func (s *Scanner) Line() int { return s.lineNo }
 
 // Next returns the next event. For KindBatch events, perThread is the
 // batch's per-thread marked counts; it is nil for every other kind and
-// must not be retained across calls to Next (it aliases the decode
-// buffer's slice only for the current event).
+// must not be retained across calls to Next (it aliases the decoder's
+// scratch, which the next batch line overwrites).
 //
-// The error is io.EOF at a clean end of stream, ErrTruncated when the
+// The error is io.EOF at a clean end of stream, ErrTruncated (possibly
+// wrapped with the line and the fault; test with errors.Is) when the
 // stream ends with an unparseable line (every prior event was delivered),
 // or the underlying reader's error.
 func (s *Scanner) Next() (ev Event, perThread []int32, err error) {
@@ -131,77 +162,15 @@ func (s *Scanner) Next() (ev Event, perThread []int32, err error) {
 		return Event{}, nil, io.EOF
 	}
 	s.lineNo++
-	raw := s.sc.Bytes()
-	ev, perThread, perr := parseEventLine(raw)
+	ev, perThread, perr := s.dec.decode(s.sc.Bytes())
 	if perr != nil {
 		// Any malformed event line is treated as the start of damage: a
 		// mid-file flipped byte cannot be distinguished from a cut tail
 		// without trusting the rest of the stream, and partial-prefix
 		// semantics are the honest contract either way.
-		return Event{}, nil, ErrTruncated
+		return Event{}, nil, fmt.Errorf("%w at line %d: %v", ErrTruncated, s.lineNo, perr)
 	}
 	return ev, perThread, nil
-}
-
-// parseEventLine decodes one JSONL event line. perThread is non-nil only
-// for KindBatch lines.
-func parseEventLine(raw []byte) (Event, []int32, error) {
-	var kind struct {
-		Kind string `json:"kind"`
-	}
-	if err := json.Unmarshal(raw, &kind); err != nil {
-		return Event{}, nil, err
-	}
-	switch kind.Kind {
-	case "arrive":
-		var l arriveLine
-		if err := json.Unmarshal(raw, &l); err != nil {
-			return Event{}, nil, err
-		}
-		return Event{Kind: KindArrive, Cycle: l.Cycle, Req: l.ID, Thread: l.Thread,
-			Bank: l.Bank, Row: l.Row, Write: l.Write, Channel: l.Channel}, nil, nil
-	case "mark":
-		var l markLine
-		if err := json.Unmarshal(raw, &l); err != nil {
-			return Event{}, nil, err
-		}
-		return Event{Kind: KindMark, Cycle: l.Cycle, Req: l.ID, Thread: l.Thread,
-			Row: l.Batch, Channel: l.Channel}, nil, nil
-	case "cmd":
-		var l cmdLine
-		if err := json.Unmarshal(raw, &l); err != nil {
-			return Event{}, nil, err
-		}
-		cmd, ok := commandByName[l.Cmd]
-		if !ok {
-			return Event{}, nil, fmt.Errorf("trace: unknown command %q", l.Cmd)
-		}
-		return Event{Kind: KindCommand, Cycle: l.Cycle, Req: l.ID, Thread: l.Thread,
-			Bank: l.Bank, Row: l.Row, Rank: l.Rank, Cmd: uint8(cmd), Channel: l.Channel}, nil, nil
-	case "done":
-		var l doneLine
-		if err := json.Unmarshal(raw, &l); err != nil {
-			return Event{}, nil, err
-		}
-		return Event{Kind: KindComplete, Cycle: l.Cycle, Req: l.ID, Thread: l.Thread,
-			Row: l.Latency, Channel: l.Channel}, nil, nil
-	case "batch":
-		var l batchLine
-		if err := json.Unmarshal(raw, &l); err != nil {
-			return Event{}, nil, err
-		}
-		return Event{Kind: KindBatch, Cycle: l.Cycle, Req: l.Batch, Row: l.Size,
-			Rank: l.Clipped, Channel: l.Channel}, l.PerThread, nil
-	case "batch_end":
-		var l batchEndLine
-		if err := json.Unmarshal(raw, &l); err != nil {
-			return Event{}, nil, err
-		}
-		return Event{Kind: KindBatchEnd, Cycle: l.Cycle, Req: l.Batch, Row: l.Duration,
-			Channel: l.Channel}, nil, nil
-	default:
-		return Event{}, nil, fmt.Errorf("trace: unknown kind %q", kind.Kind)
-	}
 }
 
 // String names the event kind with its JSONL wire discriminator.
@@ -226,8 +195,10 @@ func (k Kind) String() string {
 
 // FieldDoc describes one wire field of a parbs.trace/v1 line — the
 // machine-readable schema table behind the documentation and the
-// `parbs-trace schema` listing, kept next to the structs it describes so
-// the two cannot drift silently (pinned by TestSchemaFieldsMatchWire).
+// `parbs-trace schema` listing, and the source of truth the codec is
+// checked against: TestSchemaFieldsMatchWire checks that the
+// encoder writes exactly these keys, in this order, and that the decoder
+// reads exactly them.
 type FieldDoc struct {
 	Line  string // line kind ("run" for the header)
 	Field string // JSON field name

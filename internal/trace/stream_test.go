@@ -2,8 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
+	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -164,21 +168,105 @@ func TestAnalyzeTruncatedLogFlagged(t *testing.T) {
 	}
 }
 
-// TestSchemaFieldsMatchWire spot-checks the schema table against the wire
-// structs: every line kind is present and the Kind stringer agrees with
-// the discriminators the table documents.
-func TestSchemaFieldsMatchWire(t *testing.T) {
-	fields := SchemaFields()
-	kinds := map[string]bool{}
-	for _, f := range fields {
-		kinds[f.Line] = true
+// lineKeys returns the top-level keys of one JSON line, in order.
+func lineKeys(t *testing.T, line []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(line))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("%s: not an object (%v)", line, err)
 	}
-	for _, k := range []Kind{KindArrive, KindMark, KindCommand, KindComplete, KindBatch, KindBatchEnd} {
-		if !kinds[k.String()] {
-			t.Errorf("schema table missing line kind %q", k)
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !kinds["run"] {
-		t.Error("schema table missing the run header")
+	return keys
+}
+
+// TestSchemaFieldsMatchWire makes the schema table the source of truth the
+// codec is checked against: for every line kind, the encoder writes
+// exactly the table's keys in the table's order (after the "kind"
+// discriminator), the header writes exactly the run keys, and the decoder
+// reads exactly the table's fields.
+func TestSchemaFieldsMatchWire(t *testing.T) {
+	want := map[string][]string{}
+	for _, f := range SchemaFields() {
+		want[f.Line] = append(want[f.Line], f.Field)
+	}
+	kinds := []Kind{KindArrive, KindMark, KindCommand, KindComplete, KindBatch, KindBatchEnd}
+	if len(want) != len(kinds)+1 {
+		t.Errorf("schema table documents %d line kinds, want %d", len(want), len(kinds)+1)
+	}
+	for _, k := range kinds {
+		// Every field set, so no optional key is left out.
+		ev := Event{Kind: k, Cycle: 1, Req: 2, Row: 3, Thread: 4, Bank: 5, Rank: 6,
+			Channel: 7, Cmd: uint8(dram.CmdRead), Write: true}
+		line, err := appendEventLine(nil, ev, []int32{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := lineKeys(t, line)
+		if !reflect.DeepEqual(got, append([]string{"kind"}, want[k.String()]...)) {
+			t.Errorf("%s line keys %v, schema table %v", k, got, want[k.String()])
+		}
+		var read []string
+		for f, name := range fieldNames {
+			if kindFields[k]&(1<<f) != 0 && name != "kind" {
+				read = append(read, name)
+			}
+		}
+		sort.Strings(read)
+		doc := append([]string(nil), want[k.String()]...)
+		sort.Strings(doc)
+		if !reflect.DeepEqual(read, doc) {
+			t.Errorf("%s decoder reads %v, schema table %v", k, read, doc)
+		}
+	}
+	hdr, err := appendHeaderLine(nil, Meta{Channels: 2}, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lineKeys(t, hdr); !reflect.DeepEqual(got, want["run"]) {
+		t.Errorf("header keys %v, schema table %v", got, want["run"])
+	}
+}
+
+// TestReadLogHeaderCountIsAHint: a header's event count sizes nothing the
+// input cannot back. 2^34 declared events over a one-line body read in a
+// bounded heap, and a negative count is harmless.
+func TestReadLogHeaderCountIsAHint(t *testing.T) {
+	line := `{"kind":"mark","cycle":1,"id":1,"thread":0,"batch":0}` + "\n"
+	for _, events := range []string{"17179869184", "-1"} {
+		raw := `{"schema":"parbs.trace/v1","kind":"run","policy":"PAR-BS","cores":2,"banks":2,"events":` + events + `,"dropped":0}` + "\n" + line
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		log, err := ReadLog(strings.NewReader(raw))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("events=%s: %v", events, err)
+		}
+		if len(log.Events) != 1 {
+			t.Errorf("events=%s: read %d events, want 1", events, len(log.Events))
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("events=%s: ReadLog allocated %d bytes for a %d-byte log", events, n, len(raw))
+		}
+	}
+	if got := EventsHint(1<<34, 100); got != 100/minEventLine+1 {
+		t.Errorf("EventsHint(2^34, 100) = %d", got)
+	}
+	if got := EventsHint(1<<34, -1); got != blindPrealloc {
+		t.Errorf("EventsHint(2^34, unknown) = %d, want %d", got, blindPrealloc)
+	}
+	if got := EventsHint(-5, 100); got != 0 {
+		t.Errorf("EventsHint(-5, 100) = %d, want 0", got)
 	}
 }

@@ -80,8 +80,14 @@ func (t *Tracer) EventsJSONL() ([]byte, error) {
 	if err := t.WriteEvents(&buf); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return exact(buf.Bytes()), nil
 }
+
+// exact returns b in a slice of its own length. The in-memory renderings
+// are artifacts callers keep (parbs-serve caches them per job), and the
+// growth slack of the buffer they were written into would otherwise stay
+// allocated with them: up to half the capacity of a Chrome trace.
+func exact(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }
 
 // WriteChrome renders the recorded run as Chrome trace-event JSON, loadable
 // in Perfetto or chrome://tracing: threads as tracks, requests as spans
@@ -100,7 +106,7 @@ func (t *Tracer) ChromeTrace() ([]byte, error) {
 	if err := t.WriteChrome(&buf); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return exact(buf.Bytes()), nil
 }
 
 // WithTrace attaches a lifecycle tracer to the run; see Tracer. Each
