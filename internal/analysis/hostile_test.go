@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // Header counts are hints. A ~100-byte input that declares 2^34 events
@@ -34,7 +36,11 @@ func heapDelta(fn func()) uint64 {
 // hugeSnapshot forges a parbs.analysis/v2 snapshot whose header declares
 // 2^34 events and 2^33 batches over a 64-byte body.
 func hugeSnapshot() []byte {
-	hdr := `{"meta":{"policy":"PAR-BS","workload":"w","cores":2,"banks":2,"cpu_per_dram":4,"warmup_dram":0,"total_dram":10,"marking_cap":5,"read_buf":8},"truncated":false,"dropped":0,"events":17179869184,"batches":8589934592}`
+	return forgeSnapshot(`{"meta":{"policy":"PAR-BS","workload":"w","cores":2,"banks":2,"cpu_per_dram":4,"warmup_dram":0,"total_dram":10,"marking_cap":5,"read_buf":8},"truncated":false,"dropped":0,"events":17179869184,"batches":8589934592}`)
+}
+
+// forgeSnapshot frames a snapshot header over a 64-byte body.
+func forgeSnapshot(hdr string) []byte {
 	var buf bytes.Buffer
 	buf.WriteString(Schema + "\n")
 	binary.Write(&buf, binary.LittleEndian, uint32(len(hdr)))
@@ -111,5 +117,68 @@ func TestReadSnapshotSizesColumnsFromInput(t *testing.T) {
 	if cap(s.cycle) != len(s.cycle) || cap(s.thread) != len(s.thread) || cap(s.kind) != len(s.kind) || cap(s.write) != len(s.write) {
 		t.Errorf("columns carry slack: cycle %d/%d thread %d/%d kind %d/%d write %d/%d",
 			len(s.cycle), cap(s.cycle), len(s.thread), cap(s.thread), len(s.kind), cap(s.kind), len(s.write), cap(s.write))
+	}
+}
+
+// hugeShapes are run headers whose shape (cores, channels × banks) would
+// size every analysis window: a billion cores, a billion banks, and a
+// million channels of eight banks.
+var hugeShapes = map[string]string{
+	"cores":    `"cores":1000000000,"banks":2`,
+	"banks":    `"cores":2,"banks":1000000000`,
+	"channels": `"cores":2,"banks":8,"channels":1000000`,
+}
+
+// TestHugeHeaderShapeRejected: a ~100-byte input declaring such a shape is
+// refused by every parser, in a bounded heap, before Analyze can size a
+// report from it.
+func TestHugeHeaderShapeRejected(t *testing.T) {
+	line := `{"kind":"arrive","cycle":1,"id":1,"thread":0,"bank":0,"row":0,"write":false}` + "\n"
+	for name, shape := range hugeShapes {
+		header := `{"schema":"parbs.trace/v1","kind":"run","policy":"PAR-BS",` + shape + `,"events":1,"dropped":0}` + "\n"
+		var err error
+		if n := heapDelta(func() { _, err = Ingest(strings.NewReader(header + line)) }); n > allocBound {
+			t.Errorf("%s: Ingest allocated %d bytes for a %d-byte input", name, n, len(header+line))
+		}
+		if err == nil {
+			t.Errorf("%s: Ingest accepted the shape", name)
+		}
+		li := NewLiveIngester()
+		if n := heapDelta(func() { err = li.Feed([]byte(header + line)) }); n > allocBound {
+			t.Errorf("%s: Feed allocated %d bytes", name, n)
+		}
+		if err == nil {
+			t.Errorf("%s: LiveIngester accepted the shape", name)
+		}
+		raw := forgeSnapshot(`{"meta":{"policy":"PAR-BS",` + shape + `},"truncated":false,"dropped":0,"events":0,"batches":0}`)
+		if n := heapDelta(func() { _, err = ReadSnapshot(bytes.NewReader(raw)) }); n > allocBound {
+			t.Errorf("%s: ReadSnapshot allocated %d bytes", name, n)
+		}
+		if err == nil {
+			t.Errorf("%s: ReadSnapshot accepted the shape", name)
+		}
+	}
+}
+
+// TestAnalyzeCellBudget: the widest admitted shape over a long span, asked
+// for one-cycle windows, gets fewer, wider windows instead of
+// maxWindows × (banks + threads) columns; a paper-sized shape keeps the
+// full maxWindows.
+func TestAnalyzeCellBudget(t *testing.T) {
+	for _, c := range []struct {
+		cores, channels, banks int
+		wantWindows            int
+	}{
+		{maxCores, 4, maxBanks / 4, maxCells / (maxCores + maxBanks)},
+		{16, 4, 8, maxWindows},
+	} {
+		s := FromLog(&trace.Log{Meta: trace.Meta{Cores: c.cores, Channels: c.channels, Banks: c.banks, TotalDRAM: 1 << 30}})
+		var r *Report
+		if n := heapDelta(func() { r = s.Analyze(Options{WindowCycles: 1}) }); n > 64<<20 {
+			t.Errorf("%d cores × %d banks: Analyze allocated %d bytes", c.cores, c.channels*c.banks, n)
+		}
+		if len(r.Windows) > c.wantWindows || len(r.Windows) < c.wantWindows-1 {
+			t.Errorf("%d cores × %d banks: %d windows, want about %d", c.cores, c.channels*c.banks, len(r.Windows), c.wantWindows)
+		}
 	}
 }

@@ -78,6 +78,9 @@ func (li *LiveIngester) consumeLine(line []byte) error {
 	}
 	if !li.headerSeen {
 		meta, dropped, events, err := trace.ParseHeader(line)
+		if err == nil {
+			err = checkShape(meta)
+		}
 		if err != nil {
 			li.damaged = true
 			li.headerErr = err

@@ -149,6 +149,9 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 	if hdr.Events < 0 || hdr.Batches < 0 || hdr.Batches > hdr.Events {
 		return nil, fmt.Errorf("analysis: implausible snapshot counts: events=%d batches=%d", hdr.Events, hdr.Batches)
 	}
+	if err := checkShape(hdr.Meta); err != nil {
+		return nil, err
+	}
 
 	sum := fnv.New64a()
 	body := io.TeeReader(br, sum)

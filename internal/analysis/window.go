@@ -26,8 +26,11 @@ const (
 	DefaultWindows = 32
 	DefaultTopK    = 5
 	// maxWindows caps the window count so a tiny requested width on a long
-	// run cannot explode the report; the width is raised to fit.
+	// run cannot explode the report; the width is raised to fit. maxCells
+	// caps windows × (bank + thread columns) the same way, so the widest
+	// shape checkShape admits still yields a bounded report.
 	maxWindows = 4096
+	maxCells   = 1 << 19
 )
 
 // Options shapes Analyze's aggregation.
@@ -226,8 +229,10 @@ func (s *Store) Analyze(opt Options) *Report {
 	if width < 1 {
 		width = 1
 	}
-	if n := (end + width - 1) / width; n > maxWindows {
-		width = (end + maxWindows - 1) / maxWindows
+	nBanks := channels * banksPer
+	limit := int64(max(min(maxWindows, maxCells/(nBanks+threads)), 1))
+	if n := (end + width - 1) / width; n > limit {
+		width = (end + limit - 1) / limit
 	}
 	nWin := int((end + width - 1) / width)
 	topK := opt.TopK
@@ -235,7 +240,6 @@ func (s *Store) Analyze(opt Options) *Report {
 		topK = DefaultTopK
 	}
 
-	nBanks := channels * banksPer
 	r := &Report{
 		Schema: Schema, Meta: s.meta, Truncated: s.truncated,
 		IngestTruncated: s.ingestTruncated, Dropped: s.dropped,

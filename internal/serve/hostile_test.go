@@ -87,6 +87,26 @@ func TestAnalysisHostileHeaderCounts(t *testing.T) {
 	}
 }
 
+// hugeShapeHeader declares a billion cores; every analysis window would
+// carry one column per core.
+const hugeShapeHeader = `{"schema":"parbs.trace/v1","kind":"run","policy":"PAR-BS","cores":1000000000,"banks":2,"events":1,"dropped":0}` + "\n"
+
+func TestAnalysisHostileHeaderShape(t *testing.T) {
+	sv := New(Options{Workers: 1, Runner: func(context.Context, Spec, Sink) (*Result, error) { return &Result{}, nil }})
+	defer sv.Shutdown(context.Background())
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+	const bound = 16 << 20
+
+	if code, n := post(t, ts.URL+"/v1/analysis", "application/x-ndjson", []byte(hugeShapeHeader)); code != http.StatusBadRequest || n > bound {
+		t.Errorf("trace declaring 10^9 cores: status %d, %d bytes allocated; want 400 within %d", code, n, bound)
+	}
+	ct, body := multipartArms(t, []byte(hugeShapeHeader), []byte(hugeTraceHeader))
+	if code, n := post(t, ts.URL+"/v1/analysis/diff", ct, body.Bytes()); code != http.StatusBadRequest || n > bound {
+		t.Errorf("diff arm declaring 10^9 cores: status %d, %d bytes allocated; want 400 within %d", code, n, bound)
+	}
+}
+
 func TestAnalysisUploadLimit(t *testing.T) {
 	sv := New(Options{Workers: 1, Runner: func(context.Context, Spec, Sink) (*Result, error) { return &Result{}, nil }})
 	defer sv.Shutdown(context.Background())

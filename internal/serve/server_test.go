@@ -482,12 +482,23 @@ func TestShutdownDeadlineHardAborts(t *testing.T) {
 // TestSSEProgressStream: the events endpoint streams progress heartbeats
 // and ends with a done event carrying the terminal view.
 func TestSSEProgressStream(t *testing.T) {
-	release := make(chan struct{})
+	// seen closes once the subscriber has read a progress event. Heartbeats
+	// sent before the subscription are not replayed, so the job keeps
+	// beating until then and only finishes after it.
+	seen := make(chan struct{})
 	sv := New(Options{Workers: 1, Runner: func(ctx context.Context, spec Spec, sink Sink) (*Result, error) {
-		sink.Progress(parbs.Progress{Phase: "warmup", CPUCycles: 10, TotalCPUCycles: 100})
-		<-release // keep the job alive until the subscriber is attached
-		sink.Progress(parbs.Progress{Phase: "measure", CPUCycles: 50, TotalCPUCycles: 100})
-		return &Result{Report: json.RawMessage(`{}`)}, nil
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			sink.Progress(parbs.Progress{Phase: "warmup", CPUCycles: 10, TotalCPUCycles: 100})
+			select {
+			case <-seen:
+				return &Result{Report: json.RawMessage(`{}`)}, nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			case <-tick.C:
+			}
+		}
 	}})
 	ts := httptest.NewServer(sv.Handler())
 	defer ts.Close()
@@ -501,7 +512,6 @@ func TestSSEProgressStream(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("content type %q", ct)
 	}
-	close(release)
 
 	events := map[string]int{}
 	var lastData string
@@ -516,6 +526,9 @@ func TestSSEProgressStream(t *testing.T) {
 			lastData = ""
 		case strings.HasPrefix(line, "data: "):
 			lastData = line[len("data: "):]
+			if event == "progress" && events["progress"] == 1 {
+				close(seen)
+			}
 		}
 		if event == "done" && lastData != "" {
 			break
