@@ -24,6 +24,11 @@ type Sink struct {
 // Runner executes one validated job spec. The default is SimulationRunner;
 // tests substitute stubs to make scheduling behavior observable without
 // paying for real simulations.
+//
+// The artifacts of a returned Result may be any valid JSON, indented or
+// not; the server canonicalizes them (see Result) and fails the job with
+// an "invalid <name> artifact" error if one is not valid JSON. The server
+// does not modify the returned Result.
 type Runner func(ctx context.Context, spec Spec, sink Sink) (*Result, error)
 
 // reportJSON is the wire form of a parbs.Report, embedded in run results.

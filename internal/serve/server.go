@@ -181,6 +181,16 @@ func (s *Server) runJob(j *Job) {
 		defer cancel()
 	}
 	res, err := s.safeRun(ctx, j)
+	if err == nil {
+		// Validate the artifacts once here; every response then splices
+		// them in unscanned.
+		res, err = publish(res)
+	}
+	if err == nil {
+		// Cache before finishing, so a resubmission after the job is seen
+		// done is a cache hit.
+		s.store.PutCache(j.Hash, res)
+	}
 	now := time.Now()
 	j.finish(res, err, now)
 	snap := j.snapshot()
@@ -188,7 +198,6 @@ func (s *Server) runJob(j *Job) {
 		s.metrics.jobFailed(j.Client, snap.Wait(now))
 		return
 	}
-	s.store.PutCache(j.Hash, res)
 	s.metrics.jobCompleted(j.Client, snap.Wait(now))
 	s.metrics.observeRun(j.Spec.Scheduler.Name, now.Sub(snap.StartedAt))
 }
@@ -220,62 +229,17 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
+// writeJSON serves v indented by two spaces. It encodes before writing the
+// header, so a value that cannot be encoded becomes a 500.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-// jobView is the wire form of a job's status (GET /v1/runs/{id} and the
-// submission response).
-type jobView struct {
-	Schema      string          `json:"schema"`
-	ID          string          `json:"id"`
-	Client      string          `json:"client"`
-	Status      Status          `json:"status"`
-	Cached      bool            `json:"cached"`
-	Cost        int64           `json:"cost"`
-	SubmittedAt time.Time       `json:"submitted_at"`
-	StartedAt   *time.Time      `json:"started_at,omitempty"`
-	FinishedAt  *time.Time      `json:"finished_at,omitempty"`
-	WaitMS      int64           `json:"wait_ms"`
-	DispatchSeq int64           `json:"dispatch_seq,omitempty"`
-	Report      json.RawMessage `json:"report,omitempty"`
-	Telemetry   json.RawMessage `json:"telemetry,omitempty"`
-	Trace       json.RawMessage `json:"trace,omitempty"`
-	Error       string          `json:"error,omitempty"`
-}
-
-func viewOf(j *Job) jobView {
-	snap := j.snapshot()
-	v := jobView{
-		Schema:      Schema,
-		ID:          j.ID,
-		Client:      j.Client,
-		Status:      snap.Status,
-		Cached:      snap.Cached,
-		Cost:        j.Cost,
-		SubmittedAt: snap.SubmittedAt,
-		WaitMS:      snap.Wait(time.Now()).Milliseconds(),
-		DispatchSeq: snap.DispatchSeq,
-		Error:       snap.Err,
-	}
-	if !snap.StartedAt.IsZero() {
-		t := snap.StartedAt
-		v.StartedAt = &t
-	}
-	if !snap.FinishedAt.IsZero() {
-		t := snap.FinishedAt
-		v.FinishedAt = &t
-	}
-	if snap.Result != nil {
-		v.Report = snap.Result.Report
-		v.Telemetry = snap.Result.Telemetry
-		v.Trace = snap.Result.Trace
-	}
-	return v
+	w.Write(append(body, '\n'))
 }
 
 // handleSubmit admits one job: 200 with the completed view on a cache hit,
@@ -305,7 +269,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.metrics.jobAccepted()
 		s.metrics.cacheHit()
 		s.metrics.jobCompleted(j.Client, 0)
-		writeJSON(w, http.StatusOK, viewOf(j))
+		writeView(w, http.StatusOK, j)
 		return
 	}
 	j := s.store.NewJob(spec, time.Now())
@@ -319,7 +283,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.jobAccepted()
-	writeJSON(w, http.StatusAccepted, viewOf(j))
+	writeView(w, http.StatusAccepted, j)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -328,7 +292,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown run %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, viewOf(j))
+	writeView(w, http.StatusOK, j)
 }
 
 // progressView is the SSE wire form of a parbs.Progress heartbeat.
@@ -378,8 +342,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	ch, unsubscribe := j.subs.subscribe()
 	defer unsubscribe()
 	sendDone := func() {
-		data, _ := json.Marshal(viewOf(j))
-		fmt.Fprintf(w, "event: done\ndata: %s\n\n", data)
+		writeDoneEvent(w, j)
 		flusher.Flush()
 	}
 	for {

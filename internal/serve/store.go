@@ -24,6 +24,12 @@ const (
 // the embedded parbs.telemetry/v1 report and/or Chrome trace-event
 // artifact. Results are immutable once published and shared between a job
 // and the content-hash cache.
+//
+// A published Result's Report, Telemetry and Trace are canonical: each is
+// empty or one valid JSON value in the exact form encoding/json embeds a
+// json.RawMessage (compact, HTML-escaped, no surrounding whitespace). The
+// server establishes this once, when the job finishes, and the job view
+// splices the bytes in without scanning them again.
 type Result struct {
 	Report    json.RawMessage
 	Telemetry json.RawMessage
