@@ -387,6 +387,13 @@ func TestQueueBackpressure429(t *testing.T) {
 			t.Fatalf("submit %d: status %d", seed, code)
 		}
 		ids = append(ids, v.ID)
+		// Job 1 must leave the queue before jobs 2-3 arrive, or job 3
+		// finds it full.
+		for deadline := time.Now().Add(5 * time.Second); seed == 1 && getRun(t, ts.URL, v.ID).Status == StatusQueued; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s never dispatched", v.ID)
+			}
+		}
 	}
 	if code, _ := submit(t, ts.URL, testSpec("c", 4)); code != http.StatusTooManyRequests {
 		t.Fatalf("over-capacity submit: status %d, want 429", code)
