@@ -46,6 +46,36 @@ func TestSystemValidateRejectsNegatives(t *testing.T) {
 	}
 }
 
+// TestSystemValidateShapeBounds: Validate refuses a shape beyond MaxCores
+// or MaxBanks (defaults applied) before anything is allocated. The
+// billion-bank system would ask for a 60 GB block if it ran, so it is only
+// ever validated here, never run.
+func TestSystemValidateShapeBounds(t *testing.T) {
+	bad := map[string]System{
+		"billion banks":   {Cores: 4, Banks: 1 << 30},
+		"too many cores":  {Cores: MaxCores + 1},
+		"banks over max":  {Cores: 4, Banks: MaxBanks + 1},
+		"channels×banks":  {Cores: 16, Channels: 16, Banks: MaxBanks/16 + 1},
+		"default channel": {Cores: MaxCores, Banks: MaxBanks/(MaxCores/4) + 1}, // 256 channels by default
+	}
+	for name, sys := range bad {
+		if err := sys.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, sys)
+		}
+	}
+	good := map[string]System{
+		"paper 16 cores": {Cores: 16, Channels: 4},
+		"widest cores":   {Cores: MaxCores},
+		"widest banks":   {Cores: 4, Channels: 1, Banks: MaxBanks},
+		"exact product":  {Cores: 16, Channels: 16, Banks: MaxBanks / 16},
+	}
+	for name, sys := range good {
+		if err := sys.Validate(); err != nil {
+			t.Errorf("%s: Validate rejected %+v: %v", name, sys, err)
+		}
+	}
+}
+
 // TestParseChannelMode covers the flag-string mapping.
 func TestParseChannelMode(t *testing.T) {
 	for s, want := range map[string]ChannelMode{"": Lockstep, "lockstep": Lockstep, "independent": Independent} {

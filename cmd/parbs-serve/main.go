@@ -25,6 +25,10 @@
 //	GET  /healthz                        liveness (503 while draining)
 //	GET  /metrics                        Prometheus text exposition
 //
+// Finished results are retained under -max-result-bytes; past it the least
+// recently used one is evicted, and its run's payload endpoints answer 410
+// Gone while the run's record and status remain.
+//
 // SIGINT/SIGTERM triggers a graceful drain: admissions stop, every accepted
 // job runs to completion (bounded by -drain-timeout), then the listener
 // closes.
@@ -53,8 +57,9 @@ func main() {
 	queueCap := flag.Int("queue", 64, "admission queue capacity (beyond it: 429)")
 	admission := flag.String("admission", "parbs", "admission discipline: parbs | fifo")
 	markingCap := flag.Int("marking-cap", 5, "jobs marked per client per admission batch")
-	jobTimeout := flag.Duration("job-timeout", 0, "default per-job deadline when timeout_ms is unset (0 = none)")
+	jobTimeout := flag.Duration("job-timeout", 0, "per-job deadline; a spec's timeout_ms may only shorten it (0 = none)")
 	maxJobs := flag.Int("max-jobs", 0, "job records retained before oldest terminal ones are evicted (0 = default, negative = unbounded)")
+	maxResultBytes := flag.Int64("max-result-bytes", 0, "bytes of finished-job results retained before the least recently used are evicted (0 = default 128 MiB, negative = unbounded)")
 	maxAnalyses := flag.Int("max-analyses", 0, "trace analyses retained before oldest are evicted (0 = default)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Minute, "graceful-shutdown drain budget before in-flight jobs are aborted")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")
@@ -78,6 +83,7 @@ func main() {
 		MarkingCap:     *markingCap,
 		DefaultTimeout: *jobTimeout,
 		MaxJobs:        *maxJobs,
+		MaxResultBytes: *maxResultBytes,
 		MaxAnalyses:    *maxAnalyses,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: sv.Handler()}

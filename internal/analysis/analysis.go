@@ -66,23 +66,16 @@ type Store struct {
 	batchPT [][]int32
 }
 
-// Shape bounds of an analyzable run. Analyze gives every window one column
-// per bank (channels × banks) and one per core, sized from the header, so
-// the parsers refuse a header beyond these bounds rather than let a short
-// upload declare a billion cores. Simulated systems sit far inside them:
-// the paper's largest is 16 cores on 4 channels of 8 banks.
-const (
-	maxCores = 1024
-	maxBanks = 4096 // channels × banks per channel
-)
-
-// checkShape rejects a header whose run shape exceeds the bounds. Each
-// factor is bounded on its own first so their product cannot overflow.
+// checkShape rejects a header whose run shape exceeds trace.MaxCores and
+// trace.MaxBanks: Analyze gives every window one column per bank (channels
+// × banks) and one per core, sized from the header, so a short upload must
+// not declare a billion cores. Each factor is bounded on its own first so
+// their product cannot overflow.
 func checkShape(m trace.Meta) error {
 	channels, banks := max(m.Channels, 1), max(m.Banks, 1)
-	if m.Cores > maxCores || channels > maxBanks || banks > maxBanks || channels*banks > maxBanks {
+	if m.Cores > trace.MaxCores || channels > trace.MaxBanks || banks > trace.MaxBanks || channels*banks > trace.MaxBanks {
 		return fmt.Errorf("analysis: run shape of %d cores on %d channels × %d banks exceeds the analyzable %d cores and %d banks",
-			m.Cores, m.Channels, m.Banks, maxCores, maxBanks)
+			m.Cores, m.Channels, m.Banks, trace.MaxCores, trace.MaxBanks)
 	}
 	return nil
 }

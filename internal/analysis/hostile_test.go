@@ -95,6 +95,17 @@ func TestReadSnapshotHugeHeaderCountBounded(t *testing.T) {
 	}
 }
 
+// TestReadSnapshotEmptyBatchesBounded: 2048 events, each its own empty
+// batch, are about 100 KB of zeros; each batch once cost a 16 KiB staging
+// buffer, 34 MB in all.
+func TestReadSnapshotEmptyBatchesBounded(t *testing.T) {
+	raw := forgeSnapshot(`{"meta":{"cores":2,"banks":2},"events":2048,"batches":2048}`)
+	raw = append(raw, make([]byte, (43+4)*2048)...)
+	if n, bound := heapDelta(func() { ReadSnapshot(bytes.NewReader(raw)) }), uint64(allocBound+snapshotAllocPerByte*len(raw)); n > bound {
+		t.Errorf("ReadSnapshot allocated %d bytes for a %d-byte snapshot, want at most %d", n, len(raw), bound)
+	}
+}
+
 // TestReadSnapshotSizesColumnsFromInput: bounding preallocation by the
 // input must not cost real snapshots their exact column sizes (stores are
 // retained by the service, so growth slack would be held with them).
@@ -169,7 +180,7 @@ func TestAnalyzeCellBudget(t *testing.T) {
 		cores, channels, banks int
 		wantWindows            int
 	}{
-		{maxCores, 4, maxBanks / 4, maxCells / (maxCores + maxBanks)},
+		{trace.MaxCores, 4, trace.MaxBanks / 4, maxCells / (trace.MaxCores + trace.MaxBanks)},
 		{16, 4, 8, maxWindows},
 	} {
 		s := FromLog(&trace.Log{Meta: trace.Meta{Cores: c.cores, Channels: c.channels, Banks: c.banks, TotalDRAM: 1 << 30}})

@@ -9,7 +9,7 @@ import (
 )
 
 // fixtureJSONL renders the fixture log as a JSONL stream.
-func fixtureJSONL(t *testing.T) []byte {
+func fixtureJSONL(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := trace.WriteJSONL(&buf, fixtureLog()); err != nil {
@@ -19,7 +19,7 @@ func fixtureJSONL(t *testing.T) []byte {
 }
 
 // reportJSON marshals a report for byte-identity comparison.
-func reportJSON(t *testing.T, r *Report) []byte {
+func reportJSON(t testing.TB, r *Report) []byte {
 	t.Helper()
 	b, err := json.Marshal(r)
 	if err != nil {

@@ -276,7 +276,9 @@ func writeBools(w io.Writer, vals []bool) error {
 // elements, at most room bytes' worth when the reader reported its length
 // (so a real snapshot's columns get their exact size), else one chunk —
 // and append as the bytes arrive: a header that declares 2^34 events over
-// a short body fails on the body, not on the allocation.
+// a short body fails on the body, not on the allocation. The staging
+// buffer is sized the same way, so a run of empty batches costs nothing
+// per batch beyond its slice header.
 
 // prealloc returns the capacity for n elements of size bytes given room
 // input bytes (-1: unknown).
@@ -289,7 +291,7 @@ func prealloc(n, size, room int) int {
 
 func readI64s(r io.Reader, n, room int) ([]int64, error) {
 	out := make([]int64, 0, prealloc(n, 8, room))
-	buf := make([]byte, 8*chunk)
+	buf := make([]byte, 8*min(n, chunk))
 	for len(out) < n {
 		m := min(n-len(out), chunk)
 		if _, err := io.ReadFull(r, buf[:8*m]); err != nil {
@@ -304,7 +306,7 @@ func readI64s(r io.Reader, n, room int) ([]int64, error) {
 
 func readI32s(r io.Reader, n, room int) ([]int32, error) {
 	out := make([]int32, 0, prealloc(n, 4, room))
-	buf := make([]byte, 4*chunk)
+	buf := make([]byte, 4*min(n, chunk))
 	for len(out) < n {
 		m := min(n-len(out), chunk)
 		if _, err := io.ReadFull(r, buf[:4*m]); err != nil {
@@ -319,7 +321,7 @@ func readI32s(r io.Reader, n, room int) ([]int32, error) {
 
 func readU8s(r io.Reader, n, room int) ([]uint8, error) {
 	out := make([]uint8, 0, prealloc(n, 1, room))
-	buf := make([]byte, chunk)
+	buf := make([]byte, min(n, chunk))
 	for len(out) < n {
 		m := min(n-len(out), chunk)
 		if _, err := io.ReadFull(r, buf[:m]); err != nil {
@@ -332,7 +334,7 @@ func readU8s(r io.Reader, n, room int) ([]uint8, error) {
 
 func readBools(r io.Reader, n, room int) ([]bool, error) {
 	out := make([]bool, 0, prealloc(n, 1, room))
-	buf := make([]byte, chunk)
+	buf := make([]byte, min(n, chunk))
 	for len(out) < n {
 		m := min(n-len(out), chunk)
 		if _, err := io.ReadFull(r, buf[:m]); err != nil {

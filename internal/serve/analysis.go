@@ -119,9 +119,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusNotFound, fmt.Errorf("unknown run %q", req.Run))
 			return
 		}
-		snap := j.snapshot()
+		snap := s.store.Use(j)
 		if snap.Status != StatusDone {
 			httpError(w, http.StatusConflict, fmt.Errorf("run %s is %s, not done", req.Run, snap.Status))
+			return
+		}
+		if snap.Evicted {
+			httpError(w, http.StatusGone, errEvicted(j.ID))
 			return
 		}
 		if snap.Result == nil || len(snap.Result.TraceEvents) == 0 {
@@ -207,9 +211,13 @@ func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown run %q", r.PathValue("id")))
 		return
 	}
-	snap := j.snapshot()
+	snap := s.store.Use(j)
 	if snap.Status != StatusDone {
 		httpError(w, http.StatusConflict, fmt.Errorf("run %s is %s, not done", j.ID, snap.Status))
+		return
+	}
+	if snap.Evicted {
+		httpError(w, http.StatusGone, errEvicted(j.ID))
 		return
 	}
 	if snap.Result == nil || len(snap.Result.TraceEvents) == 0 {

@@ -257,7 +257,7 @@ func TestAnalysisStoreEviction(t *testing.T) {
 // terminal records — in admission order, skipping live jobs — and never
 // touches the content-hash result cache.
 func TestJobStoreEviction(t *testing.T) {
-	st := NewStore(3)
+	st := NewStore(3, 0)
 	now := time.Now()
 	jobs := make([]*Job, 0, 5)
 	for seed := int64(1); seed <= 5; seed++ {
@@ -266,9 +266,7 @@ func TestJobStoreEviction(t *testing.T) {
 		// each admission but only terminal jobs may go.
 		if seed == 1 || seed == 2 || seed == 4 {
 			j := jobs[seed-1]
-			res := &Result{Report: json.RawMessage(`{}`)}
-			j.finish(res, nil, now)
-			st.PutCache(j.Hash, res)
+			j.finish(st.Publish(j, &Result{Report: json.RawMessage(`{}`)}), nil, now)
 		}
 	}
 	// After 5 admissions with cap 3: job 1 was evicted when job 4 arrived

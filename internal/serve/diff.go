@@ -89,9 +89,12 @@ func (s *Server) resolveArm(name, ref string) (*analysis.Store, int, error) {
 	if !ok {
 		return nil, http.StatusNotFound, fmt.Errorf("%s: unknown run or analysis %q", name, ref)
 	}
-	snap := j.snapshot()
+	snap := s.store.Use(j)
 	if snap.Status != StatusDone {
 		return nil, http.StatusConflict, fmt.Errorf("%s: run %s is %s, not done", name, ref, snap.Status)
+	}
+	if snap.Evicted {
+		return nil, http.StatusGone, fmt.Errorf("%s: %w", name, errEvicted(ref))
 	}
 	if snap.Result == nil || len(snap.Result.TraceEvents) == 0 {
 		return nil, http.StatusConflict, fmt.Errorf("%s: run %s has no event trace; submit it with trace.events=true", name, ref)

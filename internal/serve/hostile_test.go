@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 )
@@ -134,5 +135,48 @@ func TestAnalysisUploadLimit(t *testing.T) {
 	ct, body = multipartArms(t, huge, huge)
 	if code, _ := post(t, ts.URL+"/v1/analysis/diff", ct, body.Bytes()); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized diff body: status %d, want 413", code)
+	}
+}
+
+// TestSubmitHostileSpecs: POST /v1/runs refuses what it cannot hold before
+// anything runs. The Runner fails the test if it is reached, so a
+// regression cannot run the billion-bank system (a 60 GB allocation).
+func TestSubmitHostileSpecs(t *testing.T) {
+	sv := New(Options{Workers: 1, Runner: func(_ context.Context, spec Spec, _ Sink) (*Result, error) {
+		t.Errorf("hostile spec reached the Runner: %+v", spec)
+		return &Result{}, nil
+	}})
+	defer sv.Shutdown(context.Background())
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+
+	banks := `{"system":{"cores":4,"banks":1073741824},"workload":{"mix":"CSI"},"scheduler":{"name":"PAR-BS"}}`
+	if code, _ := post(t, ts.URL+"/v1/runs", "application/json", []byte(banks)); code != http.StatusBadRequest {
+		t.Errorf("billion-bank spec: status %d, want 400", code)
+	}
+	// A body over the spec limit is refused unread: 413, even when it
+	// would decode (leading whitespace is valid JSON).
+	big := append(bytes.Repeat([]byte(" "), maxSpecBytes), banks...)
+	if code, _ := post(t, ts.URL+"/v1/runs", "application/json", big); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("%d-byte spec: status %d, want 413", len(big), code)
+	}
+}
+
+// TestSpecTimeoutCannotLiftDefault: a spec's timeout_ms only shortens the
+// server's default deadline; asking for more still ends at the default.
+func TestSpecTimeoutCannotLiftDefault(t *testing.T) {
+	sv := New(Options{Workers: 1, DefaultTimeout: 30 * time.Millisecond, Runner: func(ctx context.Context, _ Spec, _ Sink) (*Result, error) {
+		<-ctx.Done() // a run that never finishes on its own
+		return nil, ctx.Err()
+	}})
+	defer sv.Shutdown(context.Background())
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+	spec := testSpec("t", 1)
+	spec.TimeoutMS = time.Hour.Milliseconds()
+	_, v := submit(t, ts.URL, spec)
+	got := waitDone(t, ts.URL, v.ID, 10*time.Second)
+	if got.Status != StatusFailed || !strings.Contains(got.Error, "deadline") {
+		t.Errorf("job asking for an hour under a 30ms default: status %s error %q", got.Status, got.Error)
 	}
 }

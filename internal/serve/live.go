@@ -30,7 +30,8 @@ func firstLine(b []byte) []byte {
 }
 
 // liveJob resolves the {id} run and its live trace buffer, writing the HTTP
-// error itself on failure.
+// error itself on failure: 404, 409 for a run without trace events, 410
+// once the retention budget evicted the run's payload.
 func (s *Server) liveJob(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	j, ok := s.store.Get(r.PathValue("id"))
 	if !ok {
@@ -39,6 +40,10 @@ func (s *Server) liveJob(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	}
 	if j.live == nil {
 		httpError(w, http.StatusConflict, fmt.Errorf("run %s has no event trace; submit it with trace.events=true", j.ID))
+		return nil, false
+	}
+	if s.store.Use(j).Evicted {
+		httpError(w, http.StatusGone, errEvicted(j.ID))
 		return nil, false
 	}
 	return j, true
@@ -84,6 +89,8 @@ func (s *Server) handleAnalysisLive(w http.ResponseWriter, r *http.Request) {
 
 	s.metrics.liveSessionStart()
 	defer s.metrics.liveSessionEnd()
+	// Hold the buffer until this session has read it to the end.
+	defer j.live.follow()()
 
 	li := analysis.NewLiveIngester()
 	ingested := 0

@@ -223,10 +223,17 @@ func (m *Metrics) Snapshot() Counters {
 	}
 }
 
-// render writes the counters in Prometheus text exposition format. The
-// gauges (queue depth, batch count) are sampled by the caller so Metrics
-// stays a plain counter bag.
-func (m *Metrics) render(w io.Writer, queueDepth int, batchesFormed int64) {
+// gauges are the values render samples from the queue and the store, so
+// Metrics stays a plain counter bag.
+type gauges struct {
+	queueDepth     int
+	batchesFormed  int64
+	retainedBytes  int64
+	resultsEvicted int64
+}
+
+// render writes the counters in Prometheus text exposition format.
+func (m *Metrics) render(w io.Writer, g gauges) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	counter := func(name, help string, v int64) {
@@ -243,8 +250,10 @@ func (m *Metrics) render(w io.Writer, queueDepth int, batchesFormed int64) {
 	counter("analysis_ingest_events_total", "Trace events consumed by live-analysis ingesters.", m.ingestEvents)
 	counter("analysis_diffs_total", "Cross-run diff reports computed via POST /v1/analysis/diff.", m.diffs)
 	counter("analysis_diff_errors_total", "Diff submissions that failed to resolve or ingest an arm.", m.diffErrs)
-	counter("batches_formed_total", "Admission batches formed by the PAR-BS scheduler.", batchesFormed)
-	fmt.Fprintf(w, "# HELP parbs_serve_queue_depth Jobs waiting for a worker.\n# TYPE parbs_serve_queue_depth gauge\nparbs_serve_queue_depth %d\n", queueDepth)
+	counter("batches_formed_total", "Admission batches formed by the PAR-BS scheduler.", g.batchesFormed)
+	counter("results_evicted_total", "Retained job results evicted by the result byte budget.", g.resultsEvicted)
+	fmt.Fprintf(w, "# HELP parbs_serve_queue_depth Jobs waiting for a worker.\n# TYPE parbs_serve_queue_depth gauge\nparbs_serve_queue_depth %d\n", g.queueDepth)
+	fmt.Fprintf(w, "# HELP parbs_serve_retained_result_bytes Bytes of job results retained under the result byte budget.\n# TYPE parbs_serve_retained_result_bytes gauge\nparbs_serve_retained_result_bytes %d\n", g.retainedBytes)
 	fmt.Fprintf(w, "# HELP parbs_serve_live_analysis_sessions Live-analysis SSE sessions currently open.\n# TYPE parbs_serve_live_analysis_sessions gauge\nparbs_serve_live_analysis_sessions %d\n", m.liveSessions)
 	if len(m.pending) > 0 {
 		fmt.Fprintf(w, "# HELP parbs_serve_pending_reads Request-buffer occupancy per DRAM channel at the latest shared-run heartbeat.\n# TYPE parbs_serve_pending_reads gauge\n")

@@ -15,7 +15,7 @@ func TestOccupancyGauge(t *testing.T) {
 
 	renderOut := func() string {
 		var b strings.Builder
-		m.render(&b, 0, 0)
+		m.render(&b, gauges{})
 		return b.String()
 	}
 	if out := renderOut(); strings.Contains(out, "parbs_serve_pending_reads") {

@@ -1,0 +1,354 @@
+package serve
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/analysis"
+)
+
+// paddedTraceRunner returns a Runner whose traced results carry a fresh
+// stored trace of about pad bytes: the test trace, then one long line of
+// padding (analysis ingests it as a torn tail). It streams the same bytes
+// as live chunks, and counts its calls.
+func paddedTraceRunner(t *testing.T, pad int, calls *atomic.Int64) Runner {
+	jsonl := testTraceJSONL(t)
+	return func(_ context.Context, spec Spec, sink Sink) (*Result, error) {
+		calls.Add(1)
+		events := make([]byte, 0, len(jsonl)+pad)
+		events = append(events, jsonl...)
+		events = append(events, bytes.Repeat([]byte{'x'}, pad)...)
+		if sink.TraceChunk != nil {
+			sink.TraceChunk(events)
+		}
+		return &Result{Report: json.RawMessage(`{"scheduler":"stub"}`), TraceEvents: events}, nil
+	}
+}
+
+// tracedSpec is a distinct traced spec per seed.
+func tracedSpec(seed int64) Spec {
+	sp := testSpec("ret", seed)
+	sp.Trace = &TraceSpec{Events: true}
+	return sp
+}
+
+// status issues one request through h and returns its status code.
+func status(h http.Handler, method, path string, body []byte) int {
+	return serveRecorded(h, method, path, body).Code
+}
+
+// payloadStatuses are the codes of a run's payload endpoints: the view,
+// the stored trace, analysis by run, the SSE stream and live analysis.
+func payloadStatuses(h http.Handler, id string) [5]int {
+	return [5]int{
+		status(h, "GET", "/v1/runs/"+id, nil),
+		status(h, "GET", "/v1/runs/"+id+"/trace", nil),
+		serveJSON(h, "/v1/analysis", `{"run":"`+id+`"}`),
+		status(h, "GET", "/v1/runs/"+id+"/events", nil),
+		status(h, "GET", "/v1/analysis/"+id+"/live", nil),
+	}
+}
+
+func serveJSON(h http.Handler, path, body string) int {
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest("POST", path, strings.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	h.ServeHTTP(rec, req)
+	return rec.Code
+}
+
+// TestRetentionBudget: 50 distinct traced jobs with 4 MiB payloads under a
+// 16 MiB budget keep the live heap under budget plus slack. The oldest
+// jobs keep their records but answer 410 on every payload endpoint, the
+// newest still serve, the live buffers are released, and /metrics agrees
+// with what is retained.
+func TestRetentionBudget(t *testing.T) {
+	const (
+		budget = 16 << 20
+		pad    = 4 << 20
+		jobs   = 50
+		slack  = 8 << 20
+	)
+	var calls atomic.Int64
+	sv := New(Options{Workers: 1, MaxResultBytes: budget, Runner: paddedTraceRunner(t, pad, &calls)})
+	defer sv.Shutdown(context.Background())
+	h := sv.Handler()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var ran []*Job
+	for seed := int64(1); seed <= jobs; seed++ {
+		j, _ := submitRecorded(t, sv, tracedSpec(seed), http.StatusAccepted)
+		ran = append(ran, j)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > budget+slack {
+		t.Errorf("live heap grew %d MiB over %d jobs, want under the %d MiB budget + %d MiB",
+			grew>>20, jobs, budget>>20, slack>>20)
+	}
+
+	size := ran[jobs-1].snapshot().Result.size()
+	kept := budget / size
+	for i, j := range ran {
+		got := payloadStatuses(h, j.ID)
+		want := [5]int{http.StatusGone, http.StatusGone, http.StatusGone, http.StatusGone, http.StatusGone}
+		if i >= jobs-int(kept) {
+			want = [5]int{http.StatusOK, http.StatusOK, http.StatusCreated, http.StatusOK, http.StatusOK}
+		}
+		if got != want {
+			t.Errorf("job %d of %d: view, trace, analysis, events, live answer %v, want %v", i+1, jobs, got, want)
+		}
+		if snap := j.snapshot(); snap.Status != StatusDone {
+			t.Errorf("job %s lost its status: %s", j.ID, snap.Status)
+		}
+		if data, closed, _ := j.live.next(0); data != nil || !closed {
+			t.Errorf("job %s still holds %d bytes of live trace after finishing", j.ID, len(data))
+		}
+	}
+
+	// An evicted job's record is still served, marked, without artifacts.
+	var v jobView
+	rec := serveRecorded(h, "GET", "/v1/runs/"+ran[0].ID, nil)
+	if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+		t.Fatal(err)
+	}
+	if v.Status != StatusDone || !v.Evicted || v.Report != nil {
+		t.Errorf("evicted view: status %s evicted %v report %s", v.Status, v.Evicted, v.Report)
+	}
+
+	metrics := string(serveRecorded(h, "GET", "/metrics", nil).Body.Bytes())
+	if got := metricValue(t, metrics, "parbs_serve_retained_result_bytes"); got != kept*size {
+		t.Errorf("retained_result_bytes = %d, want %d (%d results of %d bytes)", got, kept*size, kept, size)
+	}
+	if got := metricValue(t, metrics, "parbs_serve_results_evicted_total"); got != jobs-kept {
+		t.Errorf("results_evicted_total = %d, want %d", got, jobs-kept)
+	}
+}
+
+// TestRetentionLRUAndReplay: eviction follows use, not age; a cache-hit
+// replay shares its payload's single charge and is evicted with it; and a
+// resubmission after eviction runs again instead of replaying.
+func TestRetentionLRUAndReplay(t *testing.T) {
+	const pad = 1 << 20
+	var calls atomic.Int64
+	// Room for two payloads, not three.
+	sv := New(Options{Workers: 1, MaxResultBytes: 5 * pad / 2, Runner: paddedTraceRunner(t, pad, &calls)})
+	defer sv.Shutdown(context.Background())
+	h := sv.Handler()
+	get := func(j *Job) int { return status(h, "GET", "/v1/runs/"+j.ID, nil) }
+
+	a, _ := submitRecorded(t, sv, tracedSpec(1), http.StatusAccepted)
+	b, _ := submitRecorded(t, sv, tracedSpec(2), http.StatusAccepted)
+	if get(a) != http.StatusOK { // a is now the most recently used
+		t.Fatal("a evicted with room for it")
+	}
+	c, _ := submitRecorded(t, sv, tracedSpec(3), http.StatusAccepted)
+	if get(b) != http.StatusGone || get(a) != http.StatusOK || get(c) != http.StatusOK {
+		t.Fatalf("after c: a %d b %d c %d, want the least recently used b evicted", get(a), get(b), get(c))
+	}
+
+	// Replaying a shares its payload: one charge, and a is used again.
+	bytesBefore, _ := sv.store.Retention()
+	replay, body := submitRecorded(t, sv, tracedSpec(1), http.StatusOK)
+	if !bytes.Contains(body, []byte(`"cached": true`)) {
+		t.Fatalf("resubmission of a retained spec was not a replay: %s", body)
+	}
+	if bytesAfter, _ := sv.store.Retention(); bytesAfter != bytesBefore {
+		t.Errorf("replay changed retained bytes %d -> %d; a shared payload is charged once", bytesBefore, bytesAfter)
+	}
+	d, _ := submitRecorded(t, sv, tracedSpec(4), http.StatusAccepted)
+	if get(c) != http.StatusGone || get(a) != http.StatusOK || get(replay) != http.StatusOK || get(d) != http.StatusOK {
+		t.Fatalf("after d: a %d replay %d c %d d %d, want c evicted", get(a), get(replay), get(c), get(d))
+	}
+
+	// Two more distinct jobs push a out; the replay goes with it.
+	submitRecorded(t, sv, tracedSpec(5), http.StatusAccepted)
+	submitRecorded(t, sv, tracedSpec(6), http.StatusAccepted)
+	if get(a) != http.StatusGone || get(replay) != http.StatusGone {
+		t.Fatalf("a %d replay %d, want both evicted with their shared payload", get(a), get(replay))
+	}
+	runs := calls.Load()
+	again, body := submitRecorded(t, sv, tracedSpec(1), http.StatusAccepted)
+	if bytes.Contains(body, []byte(`"cached": true`)) || calls.Load() != runs+1 || get(again) != http.StatusOK {
+		t.Errorf("resubmission after eviction: cached response %s, %d new runs", body, calls.Load()-runs)
+	}
+}
+
+// TestRetentionIdenticalRunsShareOneCharge: two identical specs running at
+// once both finish, and the second shares the first's payload rather than
+// charging a second copy.
+func TestRetentionIdenticalRunsShareOneCharge(t *testing.T) {
+	gate := make(chan struct{})
+	sv := New(Options{Workers: 2, Runner: func(context.Context, Spec, Sink) (*Result, error) {
+		<-gate
+		return &Result{Report: json.RawMessage(`{"scheduler":"stub"}`)}, nil
+	}})
+	defer sv.Shutdown(context.Background())
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+	_, v1 := submit(t, ts.URL, testSpec("x", 1))
+	_, v2 := submit(t, ts.URL, testSpec("y", 1))
+	close(gate)
+	waitDone(t, ts.URL, v1.ID, 5*time.Second)
+	waitDone(t, ts.URL, v2.ID, 5*time.Second)
+	j1, _ := sv.store.Get(v1.ID)
+	j2, _ := sv.store.Get(v2.ID)
+	if j1.snapshot().Result != j2.snapshot().Result {
+		t.Error("identical runs hold separate payloads")
+	}
+	if got, _ := sv.store.Retention(); got != int64(len(`{"scheduler":"stub"}`)) {
+		t.Errorf("retained %d bytes, want one charge", got)
+	}
+}
+
+// nextSSE reads one event from an SSE stream.
+func nextSSE(r *bufio.Reader) (sseEvent, error) {
+	var ev sseEvent
+	for {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			return ev, err
+		}
+		line = strings.TrimSuffix(line, "\n")
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			ev.name = line[len("event: "):]
+		case strings.HasPrefix(line, "data: "):
+			ev.data = line[len("data: "):]
+		case line == "" && ev.name != "":
+			return ev, nil
+		}
+	}
+}
+
+// TestLiveBufferRelease: a /live follower attached mid-run keeps the live
+// buffer until it has read to the end, and its final report equals the
+// post-hoc analysis; once it leaves the buffer is released, and a follower
+// attached afterwards gets the same report from the stored trace. A failed
+// job has no stored trace and keeps its buffer.
+func TestLiveBufferRelease(t *testing.T) {
+	jsonl := testTraceJSONL(t)
+	lines := bytes.SplitAfter(jsonl, []byte("\n"))
+	release := make(chan struct{})
+	sv := New(Options{Workers: 1, Runner: func(_ context.Context, spec Spec, sink Sink) (*Result, error) {
+		sink.TraceChunk(bytes.Join(lines[:3], nil))
+		<-release
+		// The rest arrives at once and the job finishes straight after:
+		// the follower is still behind when the stream closes.
+		sink.TraceChunk(bytes.Join(lines[3:], nil))
+		if spec.Scheduler.Name == "FCFS" {
+			return nil, errors.New("stub failure")
+		}
+		return &Result{Report: json.RawMessage(`{"scheduler":"stub"}`), TraceEvents: jsonl}, nil
+	}})
+	defer sv.Shutdown(context.Background())
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+
+	post, err := analysis.Ingest(bytes.NewReader(jsonl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(post.Analyze(analysis.Options{}))
+
+	spec := testSpec("lb", 1)
+	spec.Trace = &TraceSpec{Events: true}
+	_, v := submit(t, ts.URL, spec)
+	j, _ := sv.store.Get(v.ID)
+	resp, err := http.Get(ts.URL + "/v1/analysis/" + v.ID + "/live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(resp.Body)
+	if ev, err := nextSSE(br); err != nil || ev.name != "report" {
+		t.Fatalf("first live event %+v, %v; want a mid-run report", ev, err)
+	}
+	close(release)
+	<-j.done
+	evs := readSSE(t, br)
+	resp.Body.Close()
+	if final, idx := lastByName(evs, "report"); idx < 0 || final.data != string(want) {
+		t.Errorf("mid-run follower's final report diverged:\nlive:     %+v\npost-hoc: %s", evs, want)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if data, _, _ := j.live.next(0); data == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("live buffer still held after the job finished and its follower left")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	resp, err = http.Get(ts.URL + "/v1/analysis/" + v.ID + "/live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs = readSSE(t, resp.Body)
+	resp.Body.Close()
+	if final, idx := lastByName(evs, "report"); idx < 0 || final.data != string(want) {
+		t.Errorf("follower after release diverged:\nlive:     %+v\npost-hoc: %s", evs, want)
+	}
+
+	failing := testSpec("lb", 2)
+	failing.Scheduler.Name = "FCFS"
+	failing.Trace = &TraceSpec{Events: true}
+	_, fv := submit(t, ts.URL, failing)
+	fj, _ := sv.store.Get(fv.ID)
+	<-fj.done
+	if data, _, _ := fj.live.next(0); !bytes.Equal(data, jsonl) {
+		t.Errorf("failed job's live buffer holds %d bytes, want the %d streamed", len(data), len(jsonl))
+	}
+}
+
+// TestLiveTraceReleasedWithLastFollower: a finished job's live buffer stays
+// while a follower is attached and goes when the last one leaves; without
+// a stored trace (a failed job) it stays.
+func TestLiveTraceReleasedWithLastFollower(t *testing.T) {
+	lt := newLiveTrace()
+	lt.append([]byte("head\n"))
+	leaveA, leaveB := lt.follow(), lt.follow()
+	lt.closeStream(true)
+	leaveA()
+	if data, _, _ := lt.next(0); string(data) != "head\n" {
+		t.Fatalf("buffer %q with a follower still attached", data)
+	}
+	leaveB()
+	if data, _, _ := lt.next(0); data != nil {
+		t.Fatalf("buffer %q kept after the last follower left", data)
+	}
+
+	failed := newLiveTrace()
+	failed.append([]byte("head\n"))
+	failed.follow()()
+	failed.closeStream(false)
+	if data, _, _ := failed.next(0); string(data) != "head\n" {
+		t.Fatalf("failed job's buffer %q, want it kept", data)
+	}
+}
+
+// TestRetentionUnbounded: a negative budget never evicts.
+func TestRetentionUnbounded(t *testing.T) {
+	var calls atomic.Int64
+	sv := New(Options{Workers: 1, MaxResultBytes: -1, Runner: paddedTraceRunner(t, 1<<10, &calls)})
+	defer sv.Shutdown(context.Background())
+	for seed := int64(1); seed <= 8; seed++ {
+		submitRecorded(t, sv, tracedSpec(seed), http.StatusAccepted)
+	}
+	if got, evicted := sv.store.Retention(); evicted != 0 || got < 8<<10 {
+		t.Errorf("unbounded store: %d bytes retained, %d evicted", got, evicted)
+	}
+}

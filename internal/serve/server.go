@@ -39,12 +39,19 @@ type Options struct {
 	// MarkingCap bounds jobs marked per client per admission batch
 	// (default 5, the paper's Marking-Cap).
 	MarkingCap int
-	// DefaultTimeout caps jobs that do not set timeout_ms; 0 = no cap.
+	// DefaultTimeout caps every job's execution; a spec's timeout_ms may
+	// shorten it but never lift it. 0 = no cap.
 	DefaultTimeout time.Duration
 	// MaxJobs bounds the job table: past it, admitting a job evicts the
 	// oldest terminal records (default DefaultMaxJobs; negative =
-	// unbounded). The content-hash result cache is unaffected.
+	// unbounded). An evicted record's payload stays retained, and still
+	// answers cache hits, until MaxResultBytes evicts it.
 	MaxJobs int
+	// MaxResultBytes bounds the payloads retained after jobs finish: the
+	// result cache and the job records share one charge per content hash,
+	// evicted least recently used first (default DefaultMaxResultBytes;
+	// negative = unbounded).
+	MaxResultBytes int64
 	// MaxAnalyses bounds retained trace-analysis results (default
 	// DefaultMaxAnalyses).
 	MaxAnalyses int
@@ -104,7 +111,7 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		opts:     opts,
-		store:    NewStore(opts.MaxJobs),
+		store:    NewStore(opts.MaxJobs, opts.MaxResultBytes),
 		analyses: newAnalysisStore(opts.MaxAnalyses),
 		diffs:    newDiffStore(opts.MaxAnalyses),
 		metrics:  metrics,
@@ -171,9 +178,9 @@ func (s *Server) runJob(j *Job) {
 	seq := s.dispatchSeq.Add(1)
 	j.start(seq, time.Now())
 	ctx := s.baseCtx
-	timeout := j.Spec.timeout()
-	if timeout <= 0 {
-		timeout = s.opts.DefaultTimeout
+	timeout := s.opts.DefaultTimeout
+	if t := j.Spec.timeout(); t > 0 && (timeout <= 0 || t < timeout) {
+		timeout = t
 	}
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -187,9 +194,9 @@ func (s *Server) runJob(j *Job) {
 		res, err = publish(res)
 	}
 	if err == nil {
-		// Cache before finishing, so a resubmission after the job is seen
+		// Retain before finishing, so a resubmission after the job is seen
 		// done is a cache hit.
-		s.store.PutCache(j.Hash, res)
+		res = s.store.Publish(j, res)
 	}
 	now := time.Now()
 	j.finish(res, err, now)
@@ -242,19 +249,22 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Write(append(body, '\n'))
 }
 
+// maxSpecBytes bounds a POST /v1/runs body; a spec is a few hundred bytes.
+const maxSpecBytes = 1 << 20
+
 // handleSubmit admits one job: 200 with the completed view on a cache hit,
-// 202 on admission, 400 on a malformed spec, 429 on backpressure, 503 while
-// draining.
+// 202 on admission, 400 on a malformed spec, 413 on a body over
+// maxSpecBytes, 429 on backpressure, 503 while draining.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		httpError(w, http.StatusServiceUnavailable, ErrShuttingDown)
 		return
 	}
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("parse spec: %w", err))
+		httpError(w, bodyErrorStatus(err), fmt.Errorf("parse spec: %w", err))
 		return
 	}
 	if err := spec.normalize(); err != nil {
@@ -263,13 +273,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Content-hash replay: an identical completed simulation answers
 	// instantly, no queue slot, no simulation.
-	if res, ok := s.store.Cached(spec.hash()); ok {
-		j := s.store.NewJob(spec, time.Now())
-		j.finishCached(res, time.Now())
+	if j, ok := s.store.Replay(spec, time.Now()); ok {
 		s.metrics.jobAccepted()
 		s.metrics.cacheHit()
 		s.metrics.jobCompleted(j.Client, 0)
-		writeView(w, http.StatusOK, j)
+		writeView(w, http.StatusOK, j, j.snapshot())
 		return
 	}
 	j := s.store.NewJob(spec, time.Now())
@@ -283,16 +291,28 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.jobAccepted()
-	writeView(w, http.StatusAccepted, j)
+	writeView(w, http.StatusAccepted, j, j.snapshot())
 }
 
+// handleGet serves a job's view: 200, or 410 with the record's view (no
+// artifacts, "evicted": true) once the retention budget dropped its payload.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.store.Get(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown run %q", r.PathValue("id")))
 		return
 	}
-	writeView(w, http.StatusOK, j)
+	snap := s.store.Use(j)
+	code := http.StatusOK
+	if snap.Evicted {
+		code = http.StatusGone
+	}
+	writeView(w, code, j, snap)
+}
+
+// errEvicted is the 410 error of a payload endpoint on an evicted run.
+func errEvicted(id string) error {
+	return fmt.Errorf("run %s's result was evicted by the server's retention budget; resubmit the spec to run it again", id)
 }
 
 // progressView is the SSE wire form of a parbs.Progress heartbeat.
@@ -320,11 +340,16 @@ func progressViewOf(p parbs.Progress) progressView {
 
 // handleEvents streams a job's progress as Server-Sent Events: "progress"
 // events with heartbeat JSON, then one final "done" event carrying the
-// job's terminal view.
+// job's terminal view. A run whose payload was already evicted gets 410;
+// one evicted during the stream ends with a done view marked evicted.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.store.Get(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown run %q", r.PathValue("id")))
+		return
+	}
+	if j.snapshot().Evicted {
+		httpError(w, http.StatusGone, errEvicted(j.ID))
 		return
 	}
 	flusher, ok := w.(http.Flusher)
@@ -342,7 +367,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	ch, unsubscribe := j.subs.subscribe()
 	defer unsubscribe()
 	sendDone := func() {
-		writeDoneEvent(w, j)
+		writeDoneEvent(w, j, j.snapshot())
 		flusher.Flush()
 	}
 	for {
@@ -384,5 +409,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.render(w, s.queue.Depth(), s.queue.Batches())
+	retained, evicted := s.store.Retention()
+	s.metrics.render(w, gauges{
+		queueDepth:     s.queue.Depth(),
+		batchesFormed:  s.queue.Batches(),
+		retainedBytes:  retained,
+		resultsEvicted: evicted,
+	})
 }

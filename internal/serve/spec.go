@@ -14,9 +14,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	parbs "repro"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // Spec is the wire form of one simulation job — the body of POST /v1/runs.
@@ -36,7 +39,8 @@ type Spec struct {
 	// Trace, when present, attaches a lifecycle tracer; the run result then
 	// embeds a Chrome trace-event JSON artifact (Perfetto-loadable).
 	Trace *TraceSpec `json:"trace,omitempty"`
-	// TimeoutMS caps the job's wall-clock execution; 0 means no deadline.
+	// TimeoutMS caps the job's wall-clock execution; 0 means no deadline
+	// of its own. It can only shorten the server's default deadline.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
@@ -98,6 +102,22 @@ const (
 	defaultWarmupCycles  = 200_000
 )
 
+// Spec ceilings. Together with the system shape bounds of
+// parbs.System.Validate they cap what one job can hold: the trace and
+// telemetry buffers, and so the newest result, which the retention budget
+// never evicts. Every spec the repository's tests, experiments and
+// benchmark send sits well inside them.
+const (
+	// MaxTraceEvents caps trace.max_events at the tracer's default.
+	MaxTraceEvents = trace.DefaultMaxEvents
+	// MaxTelemetryEpochs caps telemetry.max_epochs at the collector's
+	// default.
+	MaxTelemetryEpochs = telemetry.DefaultMaxEpochs
+	// MaxRunCycles caps measure_cycles + warmup_cycles, defaults applied:
+	// about 45 times the paper's 2.2M-cycle run.
+	MaxRunCycles = 100_000_000
+)
+
 // normalize fills defaults and validates everything validatable without
 // running: system shape, workload existence and length, scheduler options.
 func (sp *Spec) normalize() error {
@@ -115,6 +135,15 @@ func (sp *Spec) normalize() error {
 	}
 	if err := sp.system().Validate(); err != nil {
 		return err
+	}
+	if c := sp.cycles(); c > MaxRunCycles {
+		return fmt.Errorf("system.measure_cycles + warmup_cycles is %d, over the %d ceiling", c, MaxRunCycles)
+	}
+	if sp.Trace != nil && sp.Trace.MaxEvents > MaxTraceEvents {
+		return fmt.Errorf("trace.max_events is %d, over the %d ceiling", sp.Trace.MaxEvents, MaxTraceEvents)
+	}
+	if sp.Telemetry != nil && sp.Telemetry.MaxEpochs > MaxTelemetryEpochs {
+		return fmt.Errorf("telemetry.max_epochs is %d, over the %d ceiling", sp.Telemetry.MaxEpochs, MaxTelemetryEpochs)
 	}
 	w, err := sp.workload()
 	if err != nil {
@@ -191,10 +220,9 @@ func (sp Spec) timeout() time.Duration {
 	return time.Duration(sp.TimeoutMS) * time.Millisecond
 }
 
-// cost estimates the job's work as simulated cycles × cores — the
-// admission scheduler's Max–Total ranking signal (shorter estimated jobs
-// rank first within a batch, the paper's shortest-job-first rule).
-func (sp Spec) cost() int64 {
+// cycles returns the simulated CPU cycles, warmup included, defaults
+// applied. The sum saturates rather than overflows.
+func (sp Spec) cycles() int64 {
 	measure := sp.System.MeasureCycles
 	if measure <= 0 {
 		measure = defaultMeasureCycles
@@ -203,7 +231,17 @@ func (sp Spec) cost() int64 {
 	if warmup <= 0 {
 		warmup = defaultWarmupCycles
 	}
-	return (measure + warmup) * int64(sp.System.Cores)
+	if measure > math.MaxInt64-warmup {
+		return math.MaxInt64
+	}
+	return measure + warmup
+}
+
+// cost estimates the job's work as simulated cycles × cores — the
+// admission scheduler's Max–Total ranking signal (shorter estimated jobs
+// rank first within a batch, the paper's shortest-job-first rule).
+func (sp Spec) cost() int64 {
+	return sp.cycles() * int64(sp.System.Cores)
 }
 
 // hash is the job's content hash: identical simulations (regardless of the

@@ -10,14 +10,17 @@ import (
 )
 
 // FuzzSubmitSpec sends arbitrary bytes to POST /v1/runs. The handler must
-// not panic, must answer only 200, 202, 400, 429 or 503, and must admit a
-// job only for a body whose spec decodes and passes normalize, storing that
-// normalized spec. Seeds in testdata/fuzz/FuzzSubmitSpec.
+// not panic, must answer only 200, 202, 400, 429 or 503 (or 413 for a body
+// over maxSpecBytes), and must admit a job only for a body whose spec
+// decodes and passes normalize, storing that normalized spec. Seeds in
+// testdata/fuzz/FuzzSubmitSpec.
 func FuzzSubmitSpec(f *testing.F) {
 	f.Add([]byte(`{"system":{"cores":1},"workload":{"benchmarks":["mcf"]},"scheduler":{"name":"PAR-BS"}}`))
 	f.Add([]byte(`{"client":"a","system":{"cores":4},"workload":{"mix":"CSI"},"scheduler":{"name":"FR-FCFS"},"telemetry":{},"trace":{"events":true}}`))
 	f.Add([]byte(`{"system":{"cores":1},"workload":{"benchmarks":["mcf"]},"scheduler":{"name":"PAR-BS","marking_cap":0}} trailing`))
 	f.Add([]byte(`{"system":{"cores":2,"channels":3},"workload":{"benchmarks":["mcf","lbm"]},"scheduler":{"name":"FCFS"}}`))
+	// A billion banks: about 120 bytes that would allocate 60 GB if run.
+	f.Add([]byte(`{"system":{"cores":4,"banks":1073741824},"workload":{"mix":"CSI"},"scheduler":{"name":"PAR-BS"}}`))
 	f.Add([]byte(`{"bogus":1}`))
 	f.Add([]byte(`[`))
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -29,6 +32,11 @@ func FuzzSubmitSpec(f *testing.F) {
 		rec := serveRecorded(s.Handler(), "POST", "/v1/runs", body)
 		switch rec.Code {
 		case http.StatusOK, http.StatusAccepted:
+		case http.StatusRequestEntityTooLarge:
+			if len(body) <= maxSpecBytes {
+				t.Fatalf("413 for a %d-byte body", len(body))
+			}
+			return
 		case http.StatusBadRequest, http.StatusTooManyRequests, http.StatusServiceUnavailable:
 			if !json.Valid(rec.Body.Bytes()) {
 				t.Errorf("status %d with a non-JSON body %q", rec.Code, rec.Body.Bytes())

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"container/list"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -41,6 +42,11 @@ type Result struct {
 	TraceEvents []byte
 }
 
+// size is the payload's charge against the retention budget.
+func (r *Result) size() int64 {
+	return int64(len(r.Report) + len(r.Telemetry) + len(r.Trace) + len(r.TraceEvents))
+}
+
 // Job is one accepted simulation run.
 type Job struct {
 	// Immutable after admission.
@@ -59,7 +65,13 @@ type Job struct {
 	finishedAt  time.Time
 	dispatchSeq int64 // global 1-based order the worker pool started it
 	result      *Result
-	errMsg      string
+	// evicted records that the retention budget dropped the job's payload:
+	// result stays nil and the payload endpoints answer 410.
+	evicted bool
+	errMsg  string
+
+	// entry is the retained payload the job shares; guarded by Store.mu.
+	entry *retained
 
 	// done closes on entry to a terminal state; SSE streams and tests wait
 	// on it.
@@ -79,7 +91,8 @@ func (j *Job) start(seq int64, now time.Time) {
 	j.startedAt = now
 }
 
-// finish transitions the job to its terminal state and wakes waiters.
+// finish transitions the job to its terminal state and wakes waiters. A
+// payload the retention budget evicted in the meantime stays dropped.
 func (j *Job) finish(res *Result, err error, now time.Time) {
 	j.mu.Lock()
 	if err != nil {
@@ -87,15 +100,13 @@ func (j *Job) finish(res *Result, err error, now time.Time) {
 		j.errMsg = err.Error()
 	} else {
 		j.status = StatusDone
-		j.result = res
+		if !j.evicted {
+			j.result = res
+		}
 	}
 	j.finishedAt = now
 	j.mu.Unlock()
-	close(j.done)
-	j.subs.close()
-	if j.live != nil {
-		j.live.closeStream()
-	}
+	j.closeStreams(res)
 }
 
 // finishCached completes the job instantly from a cached result: no
@@ -104,14 +115,31 @@ func (j *Job) finishCached(res *Result, now time.Time) {
 	j.mu.Lock()
 	j.status = StatusDone
 	j.cached = true
-	j.result = res
+	if !j.evicted {
+		j.result = res
+	}
 	j.finishedAt = now
 	j.mu.Unlock()
+	j.closeStreams(res)
+}
+
+// closeStreams wakes everything waiting on the job's end. Once a stored
+// trace exists, the live buffer is only a second copy of it and is
+// released as soon as no follower is reading it.
+func (j *Job) closeStreams(res *Result) {
 	close(j.done)
 	j.subs.close()
 	if j.live != nil {
-		j.live.closeStream()
+		j.live.closeStream(res != nil && len(res.TraceEvents) > 0)
 	}
+}
+
+// evict drops the job's payload; the record and its status remain.
+func (j *Job) evict() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.result = nil
+	j.evicted = true
 }
 
 // Snapshot is a consistent copy of a job's mutable state.
@@ -123,7 +151,9 @@ type Snapshot struct {
 	FinishedAt  time.Time
 	DispatchSeq int64
 	Result      *Result
-	Err         string
+	// Evicted reports that the retention budget dropped the payload.
+	Evicted bool
+	Err     string
 }
 
 // snapshot copies the mutable state under the job's lock.
@@ -138,6 +168,7 @@ func (j *Job) snapshot() Snapshot {
 		FinishedAt:  j.finishedAt,
 		DispatchSeq: j.dispatchSeq,
 		Result:      j.result,
+		Evicted:     j.evicted,
 		Err:         j.errMsg,
 	}
 }
@@ -156,32 +187,63 @@ func (s Snapshot) Wait(now time.Time) time.Duration {
 	}
 }
 
-// Store owns the job table and the content-hash result cache. The job
-// table is bounded: past maxJobs records, admitting a new job evicts the
-// oldest terminal (done or failed) ones. Live jobs are never evicted — a
-// flood of long runs can push the table past the cap, which then shrinks
-// back as they finish. Eviction drops only the job record (its ID stops
-// resolving); the content-hash result cache is untouched, so an identical
-// resubmission still replays instantly.
+// Store owns the job table and the retained results. The job table is
+// bounded: past maxJobs records, admitting a new job evicts the oldest
+// terminal (done or failed) ones. Live jobs are never evicted — a flood of
+// long runs can push the table past the cap, which then shrinks back as
+// they finish. Eviction drops only the job record (its ID stops
+// resolving); the payload it shared stays retained while its cache entry
+// is.
+//
+// Retained results are held under one byte budget. A published result is
+// charged once per content hash, however many jobs share it (the job that
+// ran it and its cache-hit replays). Past maxBytes, the least recently
+// used payloads are evicted: the cache entry goes, and every job sharing
+// the payload drops it, keeping its record and status. The most recently
+// used payload is never evicted, so a single result larger than the budget
+// still reaches its job.
 type Store struct {
 	mu      sync.Mutex
 	seq     int64
 	maxJobs int
 	jobs    map[string]*Job
 	order   []string // admission order, oldest first; len == len(jobs)
-	cache   map[string]*Result
+
+	maxBytes int64 // negative: unbounded
+	cache    map[string]*retained
+	lru      list.List // of *retained, most recently used first
+	bytes    int64     // sum of the retained payloads' sizes
+	evicted  int64     // payloads evicted so far
+}
+
+// retained is one content hash's payload under the byte budget.
+type retained struct {
+	hash string
+	res  *Result
+	size int64
+	jobs map[*Job]struct{} // jobs sharing res
+	elem *list.Element
 }
 
 // DefaultMaxJobs bounds the job table when Options.MaxJobs is zero.
 const DefaultMaxJobs = 4096
 
+// DefaultMaxResultBytes bounds the retained results when
+// Options.MaxResultBytes is zero.
+const DefaultMaxResultBytes = 128 << 20
+
 // NewStore returns an empty store retaining at most maxJobs job records
-// (0 selects DefaultMaxJobs, negative means unbounded).
-func NewStore(maxJobs int) *Store {
+// and maxResultBytes of results (0 selects the defaults, negative means
+// unbounded).
+func NewStore(maxJobs int, maxResultBytes int64) *Store {
 	if maxJobs == 0 {
 		maxJobs = DefaultMaxJobs
 	}
-	return &Store{maxJobs: maxJobs, jobs: make(map[string]*Job), cache: make(map[string]*Result)}
+	if maxResultBytes == 0 {
+		maxResultBytes = DefaultMaxResultBytes
+	}
+	return &Store{maxJobs: maxJobs, maxBytes: maxResultBytes,
+		jobs: make(map[string]*Job), cache: make(map[string]*retained)}
 }
 
 // NewJob admits a job record in the queued state, evicting the oldest
@@ -189,12 +251,35 @@ func NewStore(maxJobs int) *Store {
 func (st *Store) NewJob(spec Spec, now time.Time) *Job {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	return st.newJobLocked(spec, spec.hash(), now)
+}
+
+// Replay admits a job for spec that the cached result of an identical
+// simulation completes at once, or reports false on a cache miss. The
+// replay counts as a use of the payload.
+func (st *Store) Replay(spec Spec, now time.Time) (*Job, bool) {
+	hash := spec.hash()
+	st.mu.Lock()
+	e, ok := st.cache[hash]
+	if !ok {
+		st.mu.Unlock()
+		return nil, false
+	}
+	j := st.newJobLocked(spec, hash, now)
+	st.shareLocked(j, e)
+	st.mu.Unlock()
+	j.finishCached(e.res, now)
+	return j, true
+}
+
+// newJobLocked creates and records a queued job. Caller holds st.mu.
+func (st *Store) newJobLocked(spec Spec, hash string, now time.Time) *Job {
 	st.seq++
 	j := &Job{
 		ID:     fmt.Sprintf("r-%06d", st.seq),
 		Client: spec.Client,
 		Spec:   spec,
-		Hash:   spec.hash(),
+		Hash:   hash,
 		Cost:   spec.cost(),
 
 		status:      StatusQueued,
@@ -207,13 +292,13 @@ func (st *Store) NewJob(spec Spec, now time.Time) *Job {
 	}
 	st.jobs[j.ID] = j
 	st.order = append(st.order, j.ID)
-	st.evictLocked()
+	st.evictJobsLocked()
 	return j
 }
 
-// evictLocked removes oldest-first terminal jobs until the table fits the
-// cap (or no terminal job remains). Caller holds st.mu.
-func (st *Store) evictLocked() {
+// evictJobsLocked removes oldest-first terminal jobs until the table fits
+// the cap (or no terminal job remains). Caller holds st.mu.
+func (st *Store) evictJobsLocked() {
 	if st.maxJobs < 0 || len(st.jobs) <= st.maxJobs {
 		return
 	}
@@ -227,11 +312,77 @@ func (st *Store) evictLocked() {
 		select {
 		case <-j.done: // terminal: evictable
 			delete(st.jobs, id)
+			if j.entry != nil {
+				delete(j.entry.jobs, j)
+			}
 		default: // queued or running: keep
 			kept = append(kept, id)
 		}
 	}
 	st.order = kept
+}
+
+// Publish retains res, the result j computed, under j's content hash and
+// returns the payload j is to share. If the hash is already retained (an
+// identical simulation finished first), j shares that payload and res is
+// dropped; otherwise res is charged, and least recently used payloads are
+// evicted while the total exceeds the budget.
+func (st *Store) Publish(j *Job, res *Result) *Result {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	e, ok := st.cache[j.Hash]
+	if !ok {
+		e = &retained{hash: j.Hash, res: res, size: res.size(), jobs: make(map[*Job]struct{})}
+		e.elem = st.lru.PushFront(e)
+		st.cache[j.Hash] = e
+		st.bytes += e.size
+	}
+	st.shareLocked(j, e)
+	for st.maxBytes >= 0 && st.bytes > st.maxBytes && st.lru.Len() > 1 {
+		st.evictLocked(st.lru.Back().Value.(*retained))
+	}
+	return e.res
+}
+
+// shareLocked attaches j to e's payload and marks e most recently used.
+// Caller holds st.mu.
+func (st *Store) shareLocked(j *Job, e *retained) {
+	j.entry = e
+	e.jobs[j] = struct{}{}
+	st.lru.MoveToFront(e.elem)
+}
+
+// evictLocked drops e: its cache entry, its charge, and the payload of
+// every job sharing it. The Result itself is left untouched, so a handler
+// already holding it finishes safely. Caller holds st.mu.
+func (st *Store) evictLocked(e *retained) {
+	st.lru.Remove(e.elem)
+	delete(st.cache, e.hash)
+	st.bytes -= e.size
+	st.evicted++
+	for j := range e.jobs {
+		j.entry = nil
+		j.evict()
+	}
+}
+
+// Use snapshots j for a request that reads its payload, marking the
+// payload most recently used.
+func (st *Store) Use(j *Job) Snapshot {
+	st.mu.Lock()
+	if e := j.entry; e != nil {
+		st.lru.MoveToFront(e.elem)
+	}
+	st.mu.Unlock()
+	return j.snapshot()
+}
+
+// Retention returns the retained payload bytes and the number of payloads
+// evicted so far.
+func (st *Store) Retention() (bytes, evicted int64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.bytes, st.evicted
 }
 
 // Get returns the job with the given ID.
@@ -242,19 +393,14 @@ func (st *Store) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Cached returns the cached result for a content hash, if any.
+// Cached returns the retained result for a content hash, if any.
 func (st *Store) Cached(hash string) (*Result, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	r, ok := st.cache[hash]
-	return r, ok
-}
-
-// PutCache publishes a completed result under its content hash.
-func (st *Store) PutCache(hash string, r *Result) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.cache[hash] = r
+	if e, ok := st.cache[hash]; ok {
+		return e.res, true
+	}
+	return nil, false
 }
 
 // Jobs returns the number of admitted jobs.
@@ -269,10 +415,19 @@ func (st *Store) Jobs() int {
 // never drops: live analysis needs every byte, not just the newest. The
 // buffer is bounded by the tracer's own MaxEvents cap upstream, so a
 // follower is at most one trace-artifact's worth of memory behind.
+//
+// Once the job has finished with a stored trace, the buffer is a second
+// copy of it: it is released as soon as no follower is attached, and later
+// readers find it empty and read the stored trace instead. A failed job has
+// no stored trace and keeps its buffer.
 type liveTrace struct {
 	mu     sync.Mutex
 	buf    []byte
 	closed bool
+	// stored: the job's stored trace supersedes buf, so buf goes with the
+	// last follower.
+	stored    bool
+	followers int
 	// notify closes and is replaced whenever the buffer grows or the
 	// stream closes; followers wait on the instance they last observed.
 	notify chan struct{}
@@ -294,15 +449,40 @@ func (lt *liveTrace) append(chunk []byte) {
 	lt.notify = make(chan struct{})
 }
 
-// closeStream marks the stream complete and wakes all followers.
-func (lt *liveTrace) closeStream() {
+// closeStream marks the stream complete and wakes all followers. stored
+// reports that the job kept its trace, which releases the buffer once no
+// follower is reading it.
+func (lt *liveTrace) closeStream(stored bool) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	if lt.closed {
 		return
 	}
 	lt.closed = true
+	lt.stored = stored
+	lt.releaseLocked()
 	close(lt.notify)
+}
+
+// follow registers a reader of the buffer; the returned func unregisters
+// it. The buffer outlives the job's end while any follower remains.
+func (lt *liveTrace) follow() (leave func()) {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	lt.followers++
+	return func() {
+		lt.mu.Lock()
+		defer lt.mu.Unlock()
+		lt.followers--
+		lt.releaseLocked()
+	}
+}
+
+// releaseLocked drops the buffer once it is superseded and unread.
+func (lt *liveTrace) releaseLocked() {
+	if lt.stored && lt.followers == 0 {
+		lt.buf = nil
+	}
 }
 
 // next returns the bytes past from, whether the stream has closed, and a

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,6 +54,61 @@ func TestSpecNormalizeRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestSpecNormalizeCeilings: each spec ceiling admits its limit and
+// refuses one past it.
+func TestSpecNormalizeCeilings(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		set    func(sp *Spec, over bool)
+		substr string
+	}{
+		{"trace.max_events", func(sp *Spec, over bool) {
+			sp.Trace = &TraceSpec{MaxEvents: MaxTraceEvents + b2i(over)}
+		}, "max_events"},
+		{"telemetry.max_epochs", func(sp *Spec, over bool) {
+			sp.Telemetry = &TelemetrySpec{MaxEpochs: MaxTelemetryEpochs + b2i(over)}
+		}, "max_epochs"},
+		{"measure_cycles", func(sp *Spec, over bool) {
+			sp.System.MeasureCycles = MaxRunCycles - sp.System.WarmupCycles + int64(b2i(over))
+		}, "measure_cycles"},
+		{"warmup_cycles", func(sp *Spec, over bool) {
+			sp.System.WarmupCycles = MaxRunCycles - sp.System.MeasureCycles + int64(b2i(over))
+		}, "warmup_cycles"},
+		{"defaulted measure", func(sp *Spec, over bool) {
+			sp.System.MeasureCycles = 0
+			sp.System.WarmupCycles = MaxRunCycles - defaultMeasureCycles + int64(b2i(over))
+		}, "measure_cycles"},
+		{"overflowing sum", func(sp *Spec, over bool) {
+			if over {
+				sp.System.MeasureCycles, sp.System.WarmupCycles = math.MaxInt64, math.MaxInt64
+			}
+		}, "measure_cycles"},
+		{"billion banks", func(sp *Spec, over bool) {
+			sp.System.Banks = 8
+			if over {
+				sp.System.Banks = 1 << 30
+			}
+		}, "Banks"},
+	} {
+		at, over := testSpec("c", 1), testSpec("c", 1)
+		c.set(&at, false)
+		c.set(&over, true)
+		if err := at.normalize(); err != nil {
+			t.Errorf("%s at its ceiling: rejected: %v", c.name, err)
+		}
+		if err := over.normalize(); err == nil || !strings.Contains(err.Error(), c.substr) {
+			t.Errorf("%s past its ceiling: error %v, want one naming %s", c.name, err, c.substr)
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // TestSpecHashIgnoresClientAndTimeout: the result cache must replay across
 // clients and timeout settings but never across simulation parameters.
 func TestSpecHashIgnoresClientAndTimeout(t *testing.T) {
@@ -98,7 +155,7 @@ func TestSpecCostScalesWithCyclesAndCores(t *testing.T) {
 }
 
 func TestStoreCacheRoundTrip(t *testing.T) {
-	st := NewStore(0)
+	st := NewStore(0, 0)
 	now := time.Now()
 	j1 := st.NewJob(testSpec("a", 1), now)
 	j2 := st.NewJob(testSpec("a", 1), now)
@@ -115,7 +172,7 @@ func TestStoreCacheRoundTrip(t *testing.T) {
 		t.Fatal("cache hit before any completion")
 	}
 	res := &Result{Report: json.RawMessage(`{"scheduler":"PAR-BS"}`)}
-	st.PutCache(j1.Hash, res)
+	st.Publish(j1, res)
 	got, ok := st.Cached(j2.Hash)
 	if !ok || string(got.Report) != string(res.Report) {
 		t.Fatal("identical spec missed the cache")

@@ -32,6 +32,7 @@ type jobView struct {
 	FinishedAt  *time.Time      `json:"finished_at,omitempty"`
 	WaitMS      int64           `json:"wait_ms"`
 	DispatchSeq int64           `json:"dispatch_seq,omitempty"`
+	Evicted     bool            `json:"evicted,omitempty"` // payload dropped by the retention budget
 	Report      json.RawMessage `json:"report,omitempty"`
 	Telemetry   json.RawMessage `json:"telemetry,omitempty"`
 	Trace       json.RawMessage `json:"trace,omitempty"`
@@ -304,12 +305,11 @@ func skipDigits(src []byte, i int) int {
 
 const hexDigits = "0123456789abcdef"
 
-// compactView snapshots j once and returns its view as pieces whose
-// concatenation is json.Marshal of the whole jobView: the encoded envelope
-// without its closing brace, then each present artifact and the error, then
-// the brace. The artifacts are the published (canonical) bytes themselves.
-func compactView(j *Job) ([][]byte, error) {
-	snap := j.snapshot()
+// compactView returns the view of j at snap as pieces whose concatenation
+// is json.Marshal of the whole jobView: the encoded envelope without its
+// closing brace, then each present artifact and the error, then the brace.
+// The artifacts are the published (canonical) bytes themselves.
+func compactView(j *Job, snap Snapshot) ([][]byte, error) {
 	v := jobView{
 		Schema:      Schema,
 		ID:          j.ID,
@@ -320,6 +320,7 @@ func compactView(j *Job) ([][]byte, error) {
 		SubmittedAt: snap.SubmittedAt,
 		WaitMS:      snap.Wait(time.Now()).Milliseconds(),
 		DispatchSeq: snap.DispatchSeq,
+		Evicted:     snap.Evicted,
 	}
 	if !snap.StartedAt.IsZero() {
 		v.StartedAt = &snap.StartedAt
@@ -352,10 +353,10 @@ func compactView(j *Job) ([][]byte, error) {
 	return append(parts, []byte("}")), nil
 }
 
-// writeView serves j's view with the bytes writeJSON would give it (indent
-// "  ", trailing newline), streamed through a bounded buffer.
-func writeView(w http.ResponseWriter, code int, j *Job) {
-	parts, err := compactView(j)
+// writeView serves j's view at snap with the bytes writeJSON would give it
+// (indent "  ", trailing newline), streamed through a bounded buffer.
+func writeView(w http.ResponseWriter, code int, j *Job, snap Snapshot) {
+	parts, err := compactView(j, snap)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
@@ -370,10 +371,10 @@ func writeView(w http.ResponseWriter, code int, j *Job) {
 	ind.flush()
 }
 
-// writeDoneEvent writes the SSE done event carrying j's compact view. A
-// view that cannot be encoded ends the stream without one.
-func writeDoneEvent(w io.Writer, j *Job) {
-	parts, err := compactView(j)
+// writeDoneEvent writes the SSE done event carrying j's compact view at
+// snap. A view that cannot be encoded ends the stream without one.
+func writeDoneEvent(w io.Writer, j *Job, snap Snapshot) {
+	parts, err := compactView(j, snap)
 	if err != nil {
 		return
 	}

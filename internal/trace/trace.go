@@ -108,6 +108,16 @@ type Meta struct {
 	ReadBufEntries int `json:"read_buf"`
 }
 
+// Shape bounds of any run: parbs.System.Validate refuses a system beyond
+// them before allocating it, and the analysis parsers refuse a run header
+// beyond them, since every analysis window holds one column per core and
+// one per bank. The paper's largest system is 16 cores on 4 channels of 8
+// banks.
+const (
+	MaxCores = 1024
+	MaxBanks = 4096 // channels × banks per channel
+)
+
 // Config sizes a Tracer. The zero value selects the defaults.
 type Config struct {
 	// MaxEvents caps buffered events (default DefaultMaxEvents); beyond it

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dram"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -70,6 +71,15 @@ type System struct {
 	Device Device
 }
 
+// Shape bounds of a simulated system, shared with the trace-analysis
+// parsers: Validate refuses more than MaxCores cores or more than MaxBanks
+// banks in all (channels × banks per channel) before anything is
+// allocated.
+const (
+	MaxCores = trace.MaxCores
+	MaxBanks = trace.MaxBanks
+)
+
 // DefaultSystem returns the paper's baseline system for the core count.
 func DefaultSystem(cores int) System {
 	return System{Cores: cores, Seed: 1}
@@ -94,6 +104,21 @@ func (s System) Validate() error {
 		return fmt.Errorf("parbs: MeasureCycles must be >= 0 (0 selects the default), got %d", s.MeasureCycles)
 	case s.WarmupCycles < 0:
 		return fmt.Errorf("parbs: WarmupCycles must be >= 0 (0 selects the default), got %d", s.WarmupCycles)
+	}
+	if s.Cores > MaxCores {
+		return fmt.Errorf("parbs: %d cores exceed the supported %d", s.Cores, MaxCores)
+	}
+	// The bank count as simulated, defaults applied. Channels <= Cores, so
+	// the product cannot overflow once Banks is bounded.
+	g := sim.DefaultConfig(s.Cores).Geometry
+	if s.Channels > 0 {
+		g.Channels = s.Channels
+	}
+	if s.Banks > 0 {
+		g.Banks = s.Banks
+	}
+	if g.Banks > MaxBanks || g.Channels*g.Banks > MaxBanks {
+		return fmt.Errorf("parbs: %d channels × %d Banks exceed the supported %d banks", g.Channels, g.Banks, MaxBanks)
 	}
 	if _, err := ParseChannelMode(string(s.ChannelMode)); err != nil {
 		return err
