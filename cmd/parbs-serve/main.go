@@ -25,9 +25,10 @@
 //	GET  /healthz                        liveness (503 while draining)
 //	GET  /metrics                        Prometheus text exposition
 //
-// Finished results are retained under -max-result-bytes; past it the least
-// recently used one is evicted, and its run's payload endpoints answer 410
-// Gone while the run's record and status remain.
+// Finished results and trace analyses are retained under -max-result-bytes;
+// past it the least recently used one is evicted. An evicted run's payload
+// endpoints answer 410 Gone while its record and status remain; an evicted
+// analysis answers 404.
 //
 // SIGINT/SIGTERM triggers a graceful drain: admissions stop, every accepted
 // job runs to completion (bounded by -drain-timeout), then the listener
@@ -59,7 +60,7 @@ func main() {
 	markingCap := flag.Int("marking-cap", 5, "jobs marked per client per admission batch")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job deadline; a spec's timeout_ms may only shorten it (0 = none)")
 	maxJobs := flag.Int("max-jobs", 0, "job records retained before oldest terminal ones are evicted (0 = default, negative = unbounded)")
-	maxResultBytes := flag.Int64("max-result-bytes", 0, "bytes of finished-job results retained before the least recently used are evicted (0 = default 128 MiB, negative = unbounded)")
+	maxResultBytes := flag.Int64("max-result-bytes", 0, "bytes of finished-job results and trace analyses retained before the least recently used are evicted (0 = default 128 MiB, negative = unbounded)")
 	maxAnalyses := flag.Int("max-analyses", 0, "trace analyses retained before oldest are evicted (0 = default)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Minute, "graceful-shutdown drain budget before in-flight jobs are aborted")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")

@@ -328,11 +328,19 @@ func (c *Core) Complete(req *memctrl.Request, at int64) {
 // scheduled completion evolves identically — only the cycle and stall
 // counters advance. Memory-bound cores spend most of their time in exactly
 // this state, and replaying it cycle by cycle dominated simulator cost.
+//
+// Streaming cycles are fast-forwarded too: a run of cycles that each fetch
+// and commit exactly CommitWidth non-memory instructions, with no delivery
+// and no memory-port call, is applied in closed form (see stream).
 func (c *Core) Tick(start int64, n int) {
 	end := start + int64(n)
 	c.blockedUntil = 0
 	c.portStalled = false
 	for cyc := start; cyc < end; cyc++ {
+		if k := c.stream(cyc, end); k > 0 {
+			cyc += k - 1
+			continue
+		}
 		wasMidItem := c.fetchPending
 		loadsCompleted := c.stats.LoadsCompleted
 		loadsIssued := c.stats.LoadsIssued
@@ -380,6 +388,82 @@ func (c *Core) Tick(start int64, n int) {
 			cyc += skip
 		}
 	}
+}
+
+// stream applies the longest span of k cycles starting at cyc (k ≤ end−cyc)
+// in which every cycle fetches exactly CommitWidth non-memory instructions of
+// the current item and commits exactly CommitWidth instructions from the
+// window head, and returns k (0 when cycle cyc is not such a cycle).
+//
+// Such cycles deliver nothing, call no memory port and consume no trace
+// item, so k of them amount to appending k·w instructions to the window and
+// retiring k·w from its head. The window stays non-empty throughout (each
+// cycle's commit leaves at least the instructions that were there before
+// its fetch), so per-cycle stepping merges every fetch after the first into
+// one tail entry at the slot this closed form uses: window slots, which are
+// the Tags completions are routed by, are assigned identically.
+func (c *Core) stream(cyc, end int64) int64 {
+	w := int64(c.cfg.CommitWidth)
+	it := &c.fetchItem
+	if !c.fetchPending || c.wLen == 0 || it.NonMem < w ||
+		int64(c.cfg.WindowSize-c.windowCount) < w {
+		return 0
+	}
+	k := end - cyc
+	if m := it.NonMem / w; m < k {
+		k = m
+	}
+	if c.cLen > 0 {
+		if d := c.completions[c.cHead].at - cyc; d < k {
+			k = d
+		}
+	}
+	if k <= 0 {
+		return 0
+	}
+	// Count the instructions committable without a port call or a stall:
+	// the prefix up to the first pending load or store. If it reaches the
+	// tail, everything fetched during the span is committable as well.
+	need, free := k*w, int64(0)
+	for i, slot := 0, c.wHead; i < c.wLen && free < need; i++ {
+		e := &c.window[slot]
+		if e.kind == entryNonMem {
+			free += e.count
+		} else if e.kind == entryLoad && !e.pending {
+			free++
+		} else {
+			k = free / w
+			break
+		}
+		if slot++; slot == len(c.window) {
+			slot = 0
+		}
+	}
+	if k == 0 {
+		return 0
+	}
+
+	n := k * w
+	it.NonMem -= n
+	c.appendNonMem(n)
+	for left := n; left > 0; {
+		head := c.head()
+		if head.kind != entryNonMem {
+			c.popHead() // a completed load
+			left--
+			continue
+		}
+		take := min(left, head.count)
+		head.count -= take
+		left -= take
+		if head.count == 0 {
+			c.popHead()
+		}
+	}
+	c.windowCount -= int(n)
+	c.stats.Instructions += n
+	c.stats.Cycles += k
+	return k
 }
 
 // BlockedUntil reports the core's stall bound after its last Tick call: 0

@@ -9,62 +9,23 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/analysis"
 )
 
-// DefaultMaxAnalyses bounds retained analysis results when
+// DefaultMaxAnalyses bounds the number of retained analysis results when
 // Options.MaxAnalyses is zero. Each entry holds the columnar event store
 // (for snapshots and re-analysis) plus the computed report, so the bound
-// is deliberately small.
+// is deliberately small; their bytes also count against MaxResultBytes.
 const DefaultMaxAnalyses = 32
 
 // analysisEntry is one retained trace analysis: the ingested columnar
-// store and the report computed from it at submission time.
+// store and the report computed from it at submission time. The Store
+// retains entries (see Store.addAnalysis).
 type analysisEntry struct {
 	id     string
 	store  *analysis.Store
 	report *analysis.Report
-}
-
-// analysisStore retains completed analyses up to a cap, evicting oldest
-// first. Unlike jobs, analyses are immutable results with no live state,
-// so eviction is unconditional FIFO.
-type analysisStore struct {
-	mu      sync.Mutex
-	seq     int64
-	max     int
-	entries map[string]*analysisEntry
-	order   []string
-}
-
-func newAnalysisStore(max int) *analysisStore {
-	if max <= 0 {
-		max = DefaultMaxAnalyses
-	}
-	return &analysisStore{max: max, entries: make(map[string]*analysisEntry)}
-}
-
-func (as *analysisStore) add(store *analysis.Store, report *analysis.Report) *analysisEntry {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	as.seq++
-	e := &analysisEntry{id: fmt.Sprintf("a-%06d", as.seq), store: store, report: report}
-	as.entries[e.id] = e
-	as.order = append(as.order, e.id)
-	for len(as.entries) > as.max {
-		delete(as.entries, as.order[0])
-		as.order = as.order[1:]
-	}
-	return e
-}
-
-func (as *analysisStore) get(id string) (*analysisEntry, bool) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	e, ok := as.entries[id]
-	return e, ok
 }
 
 // analyzeRequest is the JSON body of POST /v1/analysis when the trace is
@@ -159,7 +120,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("ingest trace: %w", err))
 		return
 	}
-	e := s.analyses.add(store, store.Analyze(opt))
+	e := s.store.addAnalysis(store, store.Analyze(opt))
 	s.metrics.analysisDone()
 	writeJSON(w, http.StatusCreated, analysisCreatedView{
 		Schema:    analysis.Schema,
@@ -172,7 +133,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) analysisEntry(w http.ResponseWriter, r *http.Request) (*analysisEntry, bool) {
-	e, ok := s.analyses.get(r.PathValue("id"))
+	e, ok := s.store.analysis(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown analysis %q (evicted or never created)", r.PathValue("id")))
 	}

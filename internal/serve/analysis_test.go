@@ -236,18 +236,18 @@ func readBody(t *testing.T, resp *http.Response) []byte {
 	return buf.Bytes()
 }
 
-// TestAnalysisStoreEviction: the bounded analysis store drops oldest
-// entries past its cap.
+// TestAnalysisStoreEviction: the store drops the oldest analyses past the
+// analysis cap.
 func TestAnalysisStoreEviction(t *testing.T) {
-	as := newAnalysisStore(2)
-	a := as.add(nil, nil)
-	b := as.add(nil, nil)
-	c := as.add(nil, nil)
-	if _, ok := as.get(a.id); ok {
+	st := NewStore(0, 0)
+	st.maxAnalyses = 2
+	add := func() *analysisEntry { return st.addAnalysis(new(analysis.Store), new(analysis.Report)) }
+	a, b, c := add(), add(), add()
+	if _, ok := st.analysis(a.id); ok {
 		t.Errorf("oldest analysis %s survived past the cap", a.id)
 	}
 	for _, e := range []*analysisEntry{b, c} {
-		if _, ok := as.get(e.id); !ok {
+		if _, ok := st.analysis(e.id); !ok {
 			t.Errorf("analysis %s evicted prematurely", e.id)
 		}
 	}

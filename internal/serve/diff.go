@@ -23,7 +23,7 @@ type diffEntry struct {
 }
 
 // diffStore retains completed diffs up to a cap, evicting oldest first —
-// same unconditional FIFO as analysisStore (diffs are immutable results).
+// unconditional FIFO (diffs are immutable results).
 type diffStore struct {
 	mu      sync.Mutex
 	seq     int64
@@ -82,7 +82,7 @@ type diffCreatedView struct {
 // resolveArm turns a run or analysis ID into a columnar store. The returned
 // code is the HTTP status to use on error.
 func (s *Server) resolveArm(name, ref string) (*analysis.Store, int, error) {
-	if e, ok := s.analyses.get(ref); ok {
+	if e, ok := s.store.analysis(ref); ok {
 		return e.store, 0, nil
 	}
 	j, ok := s.store.Get(ref)

@@ -251,9 +251,9 @@ func (m *Metrics) render(w io.Writer, g gauges) {
 	counter("analysis_diffs_total", "Cross-run diff reports computed via POST /v1/analysis/diff.", m.diffs)
 	counter("analysis_diff_errors_total", "Diff submissions that failed to resolve or ingest an arm.", m.diffErrs)
 	counter("batches_formed_total", "Admission batches formed by the PAR-BS scheduler.", g.batchesFormed)
-	counter("results_evicted_total", "Retained job results evicted by the result byte budget.", g.resultsEvicted)
+	counter("results_evicted_total", "Retained job results and trace analyses evicted by the result byte budget.", g.resultsEvicted)
 	fmt.Fprintf(w, "# HELP parbs_serve_queue_depth Jobs waiting for a worker.\n# TYPE parbs_serve_queue_depth gauge\nparbs_serve_queue_depth %d\n", g.queueDepth)
-	fmt.Fprintf(w, "# HELP parbs_serve_retained_result_bytes Bytes of job results retained under the result byte budget.\n# TYPE parbs_serve_retained_result_bytes gauge\nparbs_serve_retained_result_bytes %d\n", g.retainedBytes)
+	fmt.Fprintf(w, "# HELP parbs_serve_retained_result_bytes Bytes of job results and trace analyses retained under the result byte budget.\n# TYPE parbs_serve_retained_result_bytes gauge\nparbs_serve_retained_result_bytes %d\n", g.retainedBytes)
 	fmt.Fprintf(w, "# HELP parbs_serve_live_analysis_sessions Live-analysis SSE sessions currently open.\n# TYPE parbs_serve_live_analysis_sessions gauge\nparbs_serve_live_analysis_sessions %d\n", m.liveSessions)
 	if len(m.pending) > 0 {
 		fmt.Fprintf(w, "# HELP parbs_serve_pending_reads Request-buffer occupancy per DRAM channel at the latest shared-run heartbeat.\n# TYPE parbs_serve_pending_reads gauge\n")

@@ -10,11 +10,13 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/trace"
 )
 
 // paddedTraceRunner returns a Runner whose traced results carry a fresh
@@ -128,9 +130,20 @@ func TestRetentionBudget(t *testing.T) {
 		t.Errorf("evicted view: status %s evicted %v report %s", v.Status, v.Evicted, v.Report)
 	}
 
+	// The kept jobs' analyses above are retained too, under the same budget.
+	var analyzed int64
+	sv.store.mu.Lock()
+	for _, e := range sv.store.analyses {
+		analyzed += e.size
+	}
+	analyses := len(sv.store.analyses)
+	sv.store.mu.Unlock()
+	if analyses != int(kept) || analyzed <= 0 {
+		t.Errorf("%d analyses retained, charged %d bytes; want %d with a positive charge", analyses, analyzed, kept)
+	}
 	metrics := string(serveRecorded(h, "GET", "/metrics", nil).Body.Bytes())
-	if got := metricValue(t, metrics, "parbs_serve_retained_result_bytes"); got != kept*size {
-		t.Errorf("retained_result_bytes = %d, want %d (%d results of %d bytes)", got, kept*size, kept, size)
+	if got := metricValue(t, metrics, "parbs_serve_retained_result_bytes"); got != kept*size+analyzed {
+		t.Errorf("retained_result_bytes = %d, want %d (%d results of %d bytes and %d of analyses)", got, kept*size+analyzed, kept, size, analyzed)
 	}
 	if got := metricValue(t, metrics, "parbs_serve_results_evicted_total"); got != jobs-kept {
 		t.Errorf("results_evicted_total = %d, want %d", got, jobs-kept)
@@ -350,5 +363,117 @@ func TestRetentionUnbounded(t *testing.T) {
 	}
 	if got, evicted := sv.store.Retention(); evicted != 0 || got < 8<<10 {
 		t.Errorf("unbounded store: %d bytes retained, %d evicted", got, evicted)
+	}
+}
+
+// TestRetentionAnalysesUnderBudget: analyses are charged to the result
+// byte budget, so repeated analyses of a large trace under a small budget
+// keep the live heap under budget plus slack although the analysis count
+// cap never binds. The oldest analyses answer 404 on every rendering, the
+// newest still serve, and /metrics counts what is retained.
+func TestRetentionAnalysesUnderBudget(t *testing.T) {
+	const (
+		budget    = 8 << 20
+		slack     = 8 << 20
+		submitted = 40
+	)
+	log := &trace.Log{Meta: trace.Meta{Policy: "PAR-BS", Workload: "stub", Cores: 2, Banks: 2,
+		CPUPerDRAM: 10, TotalDRAM: 200_000, MarkingCap: 5, ReadBufEntries: 64}}
+	for i := int64(0); i < 10_000; i++ {
+		log.Events = append(log.Events,
+			trace.Event{Kind: trace.KindArrive, Cycle: 10 * i, Req: i, Thread: int32(i % 2), Bank: int32(i % 2), Row: i % 16},
+			trace.Event{Kind: trace.KindComplete, Cycle: 10*i + 5, Req: i, Thread: int32(i % 2), Bank: int32(i % 2), Row: 5})
+	}
+	var jsonl bytes.Buffer
+	if err := trace.WriteJSONL(&jsonl, log); err != nil {
+		t.Fatal(err)
+	}
+	sv := New(Options{Workers: 1, MaxResultBytes: budget, MaxAnalyses: 10 * submitted})
+	defer sv.Shutdown(context.Background())
+	h := sv.Handler()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ids := make([]string, submitted)
+	for i := range ids {
+		rec := serveRecorded(h, "POST", "/v1/analysis", jsonl.Bytes())
+		var created analysisCreatedView
+		if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &created) != nil {
+			t.Fatalf("analysis %d: %d %s", i, rec.Code, rec.Body.Bytes())
+		}
+		ids[i] = created.ID
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > budget+slack {
+		t.Errorf("live heap grew %d MiB over %d analyses, want under the %d MiB budget + %d MiB",
+			grew>>20, submitted, budget>>20, slack>>20)
+	}
+
+	retained, evicted := sv.store.Retention()
+	if retained > budget || evicted == 0 {
+		t.Fatalf("%d bytes retained, %d evicted; want at most %d retained and some evicted", retained, evicted, budget)
+	}
+	for _, suffix := range []string{"", "/report", "/dashboard", "/snapshot"} {
+		if got := status(h, "GET", "/v1/analysis/"+ids[0]+suffix, nil); got != http.StatusNotFound {
+			t.Errorf("evicted analysis %s%s answers %d, want 404", ids[0], suffix, got)
+		}
+		if got := status(h, "GET", "/v1/analysis/"+ids[submitted-1]+suffix, nil); got != http.StatusOK {
+			t.Errorf("newest analysis %s%s answers %d, want 200", ids[submitted-1], suffix, got)
+		}
+	}
+	metrics := string(serveRecorded(h, "GET", "/metrics", nil).Body.Bytes())
+	if got := metricValue(t, metrics, "parbs_serve_retained_result_bytes"); got != retained {
+		t.Errorf("retained_result_bytes = %d, want %d", got, retained)
+	}
+	if got := metricValue(t, metrics, "parbs_serve_results_evicted_total"); got != evicted {
+		t.Errorf("results_evicted_total = %d, want %d", got, evicted)
+	}
+}
+
+// TestRetentionConcurrentAnalysesAndResults: analyses and job results
+// added, used and evicted from several goroutines at once keep the books
+// of the shared budget: the charge is the sum of what the LRU holds and
+// stays within budget, and the analysis index matches the analyses held.
+func TestRetentionConcurrentAnalysesAndResults(t *testing.T) {
+	st := NewStore(0, 4<<10)
+	var wg sync.WaitGroup
+	for g := int64(0); g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(0); i < 200; i++ {
+				e := st.addAnalysis(new(analysis.Store), &analysis.Report{Batches: make([]analysis.BatchSpan, 8)})
+				st.analysis(e.id)
+				now := time.Now()
+				j := st.NewJob(testSpec("c", 1000*g+i), now)
+				j.finish(st.Publish(j, &Result{Report: json.RawMessage(strings.Repeat("1", 300))}), nil, now)
+				st.Use(j)
+			}
+		}()
+	}
+	wg.Wait()
+
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var held int64
+	analyses := 0
+	for el := st.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*retained)
+		held += e.size
+		if e.analysis != nil {
+			analyses++
+			if st.analyses[e.analysis.id] != e {
+				t.Errorf("analysis %s held in the LRU but not indexed", e.analysis.id)
+			}
+		}
+	}
+	if held != st.bytes || st.bytes > st.maxBytes {
+		t.Errorf("charged %d bytes, LRU holds %d, budget %d", st.bytes, held, st.maxBytes)
+	}
+	if analyses != len(st.analyses) || analyses != len(st.analysisOrder) || analyses > st.maxAnalyses {
+		t.Errorf("%d analyses in the LRU, %d indexed, %d in creation order, cap %d",
+			analyses, len(st.analyses), len(st.analysisOrder), st.maxAnalyses)
 	}
 }

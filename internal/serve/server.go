@@ -47,13 +47,14 @@ type Options struct {
 	// unbounded). An evicted record's payload stays retained, and still
 	// answers cache hits, until MaxResultBytes evicts it.
 	MaxJobs int
-	// MaxResultBytes bounds the payloads retained after jobs finish: the
-	// result cache and the job records share one charge per content hash,
-	// evicted least recently used first (default DefaultMaxResultBytes;
-	// negative = unbounded).
+	// MaxResultBytes bounds the payloads retained after jobs finish and
+	// the retained trace analyses: the result cache and the job records
+	// share one charge per content hash, each analysis is charged its
+	// columns and report, and all are evicted least recently used first
+	// (default DefaultMaxResultBytes; negative = unbounded).
 	MaxResultBytes int64
-	// MaxAnalyses bounds retained trace-analysis results (default
-	// DefaultMaxAnalyses).
+	// MaxAnalyses bounds the number of retained trace-analysis results,
+	// oldest evicted first (default DefaultMaxAnalyses).
 	MaxAnalyses int
 	// Runner executes jobs (default SimulationRunner with a shared
 	// AloneCache). Tests substitute stubs.
@@ -64,14 +65,13 @@ type Options struct {
 // store, result cache, and HTTP API. Construct with New, mount Handler,
 // and call Shutdown to drain.
 type Server struct {
-	opts     Options
-	store    *Store
-	analyses *analysisStore
-	diffs    *diffStore
-	queue    *Queue
-	metrics  *Metrics
-	pool     *pool
-	mux      *http.ServeMux
+	opts    Options
+	store   *Store
+	diffs   *diffStore
+	queue   *Queue
+	metrics *Metrics
+	pool    *pool
+	mux     *http.ServeMux
 	// maxUpload bounds one uploaded trace or snapshot (maxUploadBytes;
 	// tests lower it).
 	maxUpload int64
@@ -109,13 +109,16 @@ func New(opts Options) *Server {
 		p.onDrained = metrics.observeBatch
 		adm = p
 	}
+	store := NewStore(opts.MaxJobs, opts.MaxResultBytes)
+	if opts.MaxAnalyses > 0 {
+		store.maxAnalyses = opts.MaxAnalyses
+	}
 	s := &Server{
-		opts:     opts,
-		store:    NewStore(opts.MaxJobs, opts.MaxResultBytes),
-		analyses: newAnalysisStore(opts.MaxAnalyses),
-		diffs:    newDiffStore(opts.MaxAnalyses),
-		metrics:  metrics,
-		queue:    newQueue(adm, opts.QueueCap),
+		opts:    opts,
+		store:   store,
+		diffs:   newDiffStore(opts.MaxAnalyses),
+		metrics: metrics,
+		queue:   newQueue(adm, opts.QueueCap),
 
 		maxUpload: maxUploadBytes,
 	}

@@ -4,10 +4,12 @@ import (
 	"container/list"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	parbs "repro"
+	"repro/internal/analysis"
 )
 
 // Status is a job's lifecycle state.
@@ -202,6 +204,10 @@ func (s Snapshot) Wait(now time.Time) time.Duration {
 // the payload drops it, keeping its record and status. The most recently
 // used payload is never evicted, so a single result larger than the budget
 // still reaches its job.
+//
+// Trace analyses are retained under the same budget and in the same LRU:
+// each is charged its event columns and report. They are also capped in
+// number (oldest first). An analysis evicted either way stops resolving.
 type Store struct {
 	mu      sync.Mutex
 	seq     int64
@@ -213,16 +219,24 @@ type Store struct {
 	cache    map[string]*retained
 	lru      list.List // of *retained, most recently used first
 	bytes    int64     // sum of the retained payloads' sizes
-	evicted  int64     // payloads evicted so far
+	evicted  int64     // payloads evicted by the byte budget so far
+
+	maxAnalyses   int
+	analysisSeq   int64
+	analyses      map[string]*retained
+	analysisOrder []*retained // creation order, oldest first
 }
 
-// retained is one content hash's payload under the byte budget.
+// retained is one payload under the byte budget: a content hash's result,
+// or a trace analysis.
 type retained struct {
 	hash string
 	res  *Result
-	size int64
 	jobs map[*Job]struct{} // jobs sharing res
-	elem *list.Element
+	// analysis is set, and hash, res and jobs are not, for an analysis.
+	analysis *analysisEntry
+	size     int64
+	elem     *list.Element
 }
 
 // DefaultMaxJobs bounds the job table when Options.MaxJobs is zero.
@@ -243,7 +257,8 @@ func NewStore(maxJobs int, maxResultBytes int64) *Store {
 		maxResultBytes = DefaultMaxResultBytes
 	}
 	return &Store{maxJobs: maxJobs, maxBytes: maxResultBytes,
-		jobs: make(map[string]*Job), cache: make(map[string]*retained)}
+		jobs: make(map[string]*Job), cache: make(map[string]*retained),
+		maxAnalyses: DefaultMaxAnalyses, analyses: make(map[string]*retained)}
 }
 
 // NewJob admits a job record in the queued state, evicting the oldest
@@ -338,10 +353,50 @@ func (st *Store) Publish(j *Job, res *Result) *Result {
 		st.bytes += e.size
 	}
 	st.shareLocked(j, e)
+	st.fitBudgetLocked()
+	return e.res
+}
+
+// fitBudgetLocked evicts least recently used payloads while the total
+// exceeds the budget, never the most recently used. Caller holds st.mu.
+func (st *Store) fitBudgetLocked() {
 	for st.maxBytes >= 0 && st.bytes > st.maxBytes && st.lru.Len() > 1 {
 		st.evictLocked(st.lru.Back().Value.(*retained))
+		st.evicted++
 	}
-	return e.res
+}
+
+// addAnalysis retains a computed analysis as the most recently used
+// payload, charged its columns and report, and returns its entry. Past the
+// analysis cap the oldest analysis goes first; past the byte budget, the
+// least recently used payloads.
+func (st *Store) addAnalysis(store *analysis.Store, report *analysis.Report) *analysisEntry {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.analysisSeq++
+	e := &retained{analysis: &analysisEntry{id: fmt.Sprintf("a-%06d", st.analysisSeq), store: store, report: report},
+		size: store.Bytes() + report.Bytes()}
+	e.elem = st.lru.PushFront(e)
+	st.bytes += e.size
+	st.analyses[e.analysis.id] = e
+	st.analysisOrder = append(st.analysisOrder, e)
+	for len(st.analyses) > st.maxAnalyses {
+		st.evictLocked(st.analysisOrder[0])
+	}
+	st.fitBudgetLocked()
+	return e.analysis
+}
+
+// analysis returns a retained analysis, marking it most recently used.
+func (st *Store) analysis(id string) (*analysisEntry, bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	e, ok := st.analyses[id]
+	if !ok {
+		return nil, false
+	}
+	st.lru.MoveToFront(e.elem)
+	return e.analysis, true
 }
 
 // shareLocked attaches j to e's payload and marks e most recently used.
@@ -352,14 +407,19 @@ func (st *Store) shareLocked(j *Job, e *retained) {
 	st.lru.MoveToFront(e.elem)
 }
 
-// evictLocked drops e: its cache entry, its charge, and the payload of
-// every job sharing it. The Result itself is left untouched, so a handler
-// already holding it finishes safely. Caller holds st.mu.
+// evictLocked drops e and its charge. A result leaves the cache and every
+// job sharing it drops its payload; the Result itself is left untouched, so
+// a handler already holding it finishes safely. An analysis stops
+// resolving. Caller holds st.mu.
 func (st *Store) evictLocked(e *retained) {
 	st.lru.Remove(e.elem)
-	delete(st.cache, e.hash)
 	st.bytes -= e.size
-	st.evicted++
+	if e.analysis != nil {
+		delete(st.analyses, e.analysis.id)
+		st.analysisOrder = slices.DeleteFunc(st.analysisOrder, func(o *retained) bool { return o == e })
+		return
+	}
+	delete(st.cache, e.hash)
 	for j := range e.jobs {
 		j.entry = nil
 		j.evict()
@@ -378,7 +438,7 @@ func (st *Store) Use(j *Job) Snapshot {
 }
 
 // Retention returns the retained payload bytes and the number of payloads
-// evicted so far.
+// the byte budget evicted so far.
 func (st *Store) Retention() (bytes, evicted int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
