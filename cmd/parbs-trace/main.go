@@ -1,11 +1,11 @@
 // Command parbs-trace records synthetic benchmark traces to text files,
-// replays trace files through the simulator, and analyzes lifecycle event
-// logs (parbs-sim -trace-events) into per-request wait forensics and the
-// paper's starvation audit. The report subcommand runs the windowed
-// trace-analytics pipeline (internal/analysis): per-bank/per-thread
-// bottleneck attribution, wait decomposition and latency percentiles over
-// time windows, and batch timelines, with an optional parbs.analysis/v2
-// binary snapshot. The diff subcommand aligns two runs (traces or
+// replays trace files through the simulator, and audits lifecycle event
+// logs (parbs-sim -trace-events) against the paper's §4.3 Marking-Cap
+// starvation bound, with per-thread worst cases. The report subcommand runs
+// the windowed trace-analytics pipeline (internal/analysis): per-bank and
+// per-thread bottleneck attribution, wait decomposition and latency
+// percentiles over time windows, and batch timelines, with an optional
+// parbs.analysis/v2 binary snapshot. The diff subcommand aligns two runs (traces or
 // snapshots) into one cross-run comparison; report -follow tails a trace
 // file that is still being written.
 //
@@ -170,12 +170,13 @@ func replay(args []string) int {
 	return exitOK
 }
 
-// analyze folds a JSONL lifecycle event log into per-thread wait
-// decomposition and the Marking-Cap starvation audit. Exit 1 when the log
-// is truncated or an applicable starvation bound fails to hold.
+// analyze runs the Marking-Cap starvation audit (analysis.Store.Audit)
+// over a JSONL lifecycle event log. Ingest is tolerant: a truncated log
+// still prints the audit of its prefix. Exit 1 when the log is truncated or
+// an applicable starvation bound fails to hold.
 func analyze(args []string) int {
 	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
-	asJSON := fs.Bool("json", false, "emit the analysis as JSON instead of text")
+	asJSON := fs.Bool("json", false, "emit the audit as JSON instead of text")
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
@@ -186,12 +187,12 @@ func analyze(args []string) int {
 	if err != nil {
 		return fail(err)
 	}
-	log, err := trace.ReadLog(f)
+	store, err := analysis.Ingest(f)
 	f.Close()
 	if err != nil {
 		return fail(fmt.Errorf("%s: %w", fs.Arg(0), err))
 	}
-	a := trace.Analyze(log)
+	a := store.Audit()
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -201,7 +202,7 @@ func analyze(args []string) int {
 	} else if err := a.WriteText(os.Stdout); err != nil {
 		return fail(err)
 	}
-	if a.Truncated || (a.Audit.Batched && !a.Audit.Holds) {
+	if a.Truncated || (a.Verdict.Batched && !a.Verdict.Holds) {
 		return exitViolation
 	}
 	return exitOK

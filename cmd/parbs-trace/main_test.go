@@ -35,7 +35,8 @@ func runCapture(t *testing.T, args ...string) (int, string) {
 }
 
 // goodTracer builds a clean PAR-BS log whose starvation audit passes
-// (the TestAnalyzeWaitDecomposition timeline: bound 1, worst wait 1).
+// (the internal/analysis TestAuditWaitDecomposition timeline: bound 1,
+// worst wait 1).
 func goodTracer() *trace.Tracer {
 	tr := trace.NewTracer(trace.Config{})
 	tr.Bind(trace.Meta{Policy: "PAR-BS", Workload: "synthetic", Cores: 2, Banks: 1,
@@ -58,7 +59,8 @@ func goodTracer() *trace.Tracer {
 }
 
 // violTracer builds a log whose batch-wait bound is violated (bound 0,
-// observed 1 — the TestAnalyzeDetectsBoundViolation timeline).
+// observed 1 — the internal/analysis TestAuditDetectsBoundViolation
+// timeline).
 func violTracer() *trace.Tracer {
 	tr := trace.NewTracer(trace.Config{})
 	tr.Bind(trace.Meta{Policy: "PAR-BS", MarkingCap: 5, ReadBufEntries: 5})
@@ -138,6 +140,49 @@ func TestExitCodes(t *testing.T) {
 		}
 		if code, out = runCapture(t, "analyze", dropped); code != exitViolation || out == "" {
 			t.Errorf("dropped events: code %d, want %d with output", code, exitViolation)
+		}
+		// A torn log is data loss too: the prefix is still audited, with
+		// the caveat, rather than refused.
+		code, out = runCapture(t, "analyze", trunc)
+		if code != exitViolation || !strings.Contains(out, "truncated during ingest") ||
+			!strings.Contains(out, "starvation audit: ") {
+			t.Errorf("torn log: code %d, want %d with the prefix's audit\n%s", code, exitViolation, out)
+		}
+	})
+
+	t.Run("analyze-json", func(t *testing.T) {
+		// Decode as a consumer would, by the audit's field names.
+		var doc struct {
+			Meta      struct{ Policy string }
+			Truncated bool
+			Requests  int64
+			Threads   []struct{ Thread, MaxBatchesWaited int64 }
+			Audit     struct {
+				Batched                                            bool
+				BatchWaitBound, MaxBatchesWaited, DelayBoundCycles int64
+				Holds                                              bool
+			}
+		}
+		code, out := runCapture(t, "analyze", "-json", good)
+		if code != exitOK {
+			t.Fatalf("analyze -json: code %d\n%s", code, out)
+		}
+		if err := json.Unmarshal([]byte(out), &doc); err != nil {
+			t.Fatalf("analyze -json output not JSON: %v\n%s", err, out)
+		}
+		au := doc.Audit
+		if doc.Meta.Policy != "PAR-BS" || doc.Truncated || doc.Requests != 2 || len(doc.Threads) != 2 ||
+			doc.Threads[1].MaxBatchesWaited != 1 || !au.Batched || au.BatchWaitBound != 1 ||
+			au.MaxBatchesWaited != 1 || au.DelayBoundCycles != 300 || !au.Holds {
+			t.Errorf("analyze -json audit: %+v", doc)
+		}
+		code, out = runCapture(t, "analyze", "-json", viol)
+		if code != exitViolation {
+			t.Fatalf("analyze -json violated: code %d, want %d", code, exitViolation)
+		}
+		doc.Audit.Holds = true
+		if err := json.Unmarshal([]byte(out), &doc); err != nil || doc.Audit.Holds {
+			t.Errorf("analyze -json violated: err %v, Holds %v", err, doc.Audit.Holds)
 		}
 	})
 

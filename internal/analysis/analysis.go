@@ -2,8 +2,9 @@
 // parbs.trace/v1 lifecycle event logs (internal/trace) into an in-memory
 // columnar store, computes windowed aggregates — per-bank / per-channel
 // occupancy and queue depth, per-thread wait decomposition over time,
-// batch formation/drain timelines — and ranks bottlenecks (top-K banks and
-// threads by contributed wait) per window and over any cycle range.
+// batch formation/drain timelines — ranks bottlenecks (top-K banks and
+// threads by contributed wait) per window and over any cycle range, and
+// audits the paper's §4.3 Marking-Cap starvation bound (audit.go).
 //
 // The module is dependency-free by charter, so there is no sqlite here:
 // the store keeps each event field in its own slice (struct-of-arrays, the
@@ -17,9 +18,9 @@
 // prefix, flagged Truncated, never an error — a forensics tool that
 // refuses damaged evidence is useless at exactly the wrong moment.
 //
-// Three front ends sit on top: the typed query API (Analyze → Report,
-// window.go), the `parbs-trace report` subcommand, and the parbs-serve
-// /v1/analysis endpoints with the embedded HTML dashboard.
+// Front ends sit on top: the typed query API (Analyze → Report, window.go;
+// Audit, audit.go), the `parbs-trace report` and `analyze` subcommands, and
+// the parbs-serve /v1/analysis endpoints with the embedded HTML dashboard.
 package analysis
 
 import (
@@ -135,7 +136,7 @@ func (s *Store) grow(n int) {
 }
 
 // FromLog builds a store from an in-memory event log (a completed Tracer's
-// Log or trace.ReadLog output).
+// Log).
 func FromLog(log *trace.Log) *Store {
 	s := &Store{meta: log.Meta, dropped: log.Dropped, truncated: log.Dropped > 0}
 	s.grow(len(log.Events))
@@ -185,7 +186,7 @@ func Ingest(r io.Reader) (*Store, error) {
 }
 
 // ToLog materializes the store back into a trace.Log — the bridge to the
-// existing forensics analyzer (trace.Analyze) and renderers.
+// trace package's renderers (WriteJSONL, WriteChrome).
 func (s *Store) ToLog() *trace.Log {
 	log := &trace.Log{Meta: s.meta, Dropped: s.dropped,
 		Events: make([]trace.Event, len(s.kind)), BatchPerThread: s.batchPT}

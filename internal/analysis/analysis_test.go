@@ -227,10 +227,11 @@ func TestToLogRoundTrip(t *testing.T) {
 			t.Errorf("event %d = %+v, want %+v", i, back.Events[i], log.Events[i])
 		}
 	}
-	// The bridge feeds trace.Analyze: spot-check it agrees.
-	a := trace.Analyze(back)
-	if a.Requests != 2 || a.Batches != 1 {
-		t.Errorf("trace.Analyze over ToLog: requests=%d batches=%d, want 2/1", a.Requests, a.Batches)
+	// A store rebuilt from the bridged log audits the same run.
+	a := FromLog(back).Audit()
+	if a.Requests != 2 || a.Batches != 1 || a.MaxBatchSpan != 200 {
+		t.Errorf("audit over ToLog: requests=%d batches=%d max span=%d, want 2/1/200",
+			a.Requests, a.Batches, a.MaxBatchSpan)
 	}
 }
 

@@ -3,6 +3,8 @@ package analysis
 import (
 	"fmt"
 	"io"
+
+	"repro/internal/trace"
 )
 
 // WriteText renders the report as human-readable tables: whole-span
@@ -17,23 +19,13 @@ func (r *Report) WriteText(w io.Writer) error {
 			_, err = fmt.Fprintf(w, format, args...)
 		}
 	}
-	m := r.Meta
-	p("run: policy=%s workload=%s cores=%d banks=%d", m.Policy, m.Workload, m.Cores, m.Banks)
-	if m.Channels > 1 {
-		p(" channels=%d", m.Channels)
-	}
-	p(" marking_cap=%d read_buf=%d\n", m.MarkingCap, m.ReadBufEntries)
+	writeRunLine(p, r.Meta)
 	p("events: %d  span: [0, %d) DRAM cycles  windows: %d x %d cycles\n",
 		r.Events, r.SpanEnd, len(r.Windows), r.WindowCycles)
 	p("requests: %d completed reads, %d still in flight at span end\n", r.Requests, r.InFlight)
 	p("latency percentiles (all reads, cycles): p50=%d p90=%d p99=%d\n",
 		r.LatencyPct.P50, r.LatencyPct.P90, r.LatencyPct.P99)
-	if r.Dropped > 0 {
-		p("NOTE: trace truncated (%d events dropped at record time); figures cover the recorded prefix only\n", r.Dropped)
-	}
-	if r.IngestTruncated {
-		p("NOTE: trace stream truncated during ingest (torn tail or malformed line); figures cover the parseable prefix only\n")
-	}
+	writeTruncationNotes(p, r.Dropped, r.IngestTruncated)
 
 	p("\nbottleneck attribution (queued wait = unmarked + marked cycles, whole span):\n")
 	p("  rank  bank        wait_cycles      thread      wait_cycles\n")
@@ -97,4 +89,24 @@ func (r *Report) WriteText(w io.Writer) error {
 	}
 	p("\n")
 	return err
+}
+
+// writeRunLine prints the traced run's shape, the first line of both the
+// report and the audit.
+func writeRunLine(p func(string, ...any), m trace.Meta) {
+	p("run: policy=%s workload=%s cores=%d banks=%d", m.Policy, m.Workload, m.Cores, m.Banks)
+	if m.Channels > 1 {
+		p(" channels=%d", m.Channels)
+	}
+	p(" marking_cap=%d read_buf=%d\n", m.MarkingCap, m.ReadBufEntries)
+}
+
+// writeTruncationNotes flags figures that cover only a prefix of the run.
+func writeTruncationNotes(p func(string, ...any), dropped int64, ingestTruncated bool) {
+	if dropped > 0 {
+		p("NOTE: trace truncated (%d events dropped at record time); figures cover the recorded prefix only\n", dropped)
+	}
+	if ingestTruncated {
+		p("NOTE: trace stream truncated during ingest (torn tail or malformed line); figures cover the parseable prefix only\n")
+	}
 }

@@ -12,14 +12,17 @@ import (
 // "which bank stalled batch formation in cycles 40k–60k" is a range query
 // over precomputed columns instead of a Perfetto session.
 //
-// Wait attribution follows the same three-phase decomposition as
-// trace.Analyze (unmarked-queued / marked-waiting / service), but spread
-// over windows by exact cycle overlap: a request that waited from cycle
-// 900 to 1300 with 1000-cycle windows contributes 100 cycles to window 0
-// and 300 to window 1. Requests still in flight when the log ends
-// contribute their wait up to the end of the span — a starving request
-// that never completed is precisely the one a bottleneck query must not
-// drop.
+// Wait attribution splits each request's latency into three phases —
+// unmarked-queued (arrival → marked into a batch, or first command for
+// policies that never mark), marked-waiting (mark → first command) and
+// service (first command → data return) — spread over windows by exact
+// cycle overlap: a request that waited from cycle 900 to 1300 with
+// 1000-cycle windows contributes 100 cycles to window 0 and 300 to window
+// 1. A request serviced before its mark (swept into a batch mid-flight)
+// spent its whole pre-command wait unmarked. Requests still in flight when
+// the log ends contribute their wait up to the end of the span — a
+// starving request that never completed is precisely the one a bottleneck
+// query must not drop.
 
 // Default shape of an analysis when Options leaves the fields zero.
 const (

@@ -39,10 +39,11 @@ import (
 // The cache changes no observable behavior: winners equal the full rescan's
 // (Better is a strict total order), and the failure bounds feeding the idle
 // cache are computed from the same per-class facts the rescan derives, so
-// command streams are byte-identical with the cache on, off
-// (Config.DisableCandidateCache), or bypassed (Config.ReferenceScan) —
-// pinned by the differential fuzz suites in internal/sim, and asserted
-// per-scan against a forced rebuild under the parbsdebug build tag.
+// command streams are byte-identical with the cache in use or bypassed
+// together with the whole bank index (Config.ReferenceScan) — pinned by the
+// differential suites in internal/sim — and each scan is asserted against
+// a forced rebuild under the parbsdebug build tag. Policies without an
+// OrderEpoch (custom schedulers) rebuild their read entries every scan.
 
 // bankCand is one bank's cached scan result for one direction (reads or
 // writes).

@@ -27,19 +27,13 @@ type Config struct {
 	// same row. The paper's baseline (and default here) is open-page,
 	// which row-hit-first scheduling exploits.
 	ClosedPage bool
-	// ReferenceScan disables the bank-indexed scheduling fast path and
-	// falls back to the original O(buffer) candidate scan every cycle.
-	// The two paths must produce byte-identical command streams; the
-	// equivalence tests in internal/sim pin that. Reference only — slow.
+	// ReferenceScan disables the bank-indexed scheduling fast path, its
+	// per-bank candidate cache (candcache.go) and the idle skip, and falls
+	// back to the original O(buffer) candidate scan every cycle. The two
+	// paths share no selection code and must produce byte-identical
+	// command streams; the equivalence tests in internal/sim pin that.
+	// Reference only — slow.
 	ReferenceScan bool
-	// DisableCandidateCache keeps the bank-indexed fast path but rebuilds
-	// every bank's candidate entry on every scan instead of reusing cached
-	// class winners (see candcache.go). The command stream is byte-identical
-	// either way — pinned by the differential fuzz suites — so the knob
-	// exists for the cache-on/off differential arm and as an escape hatch,
-	// not for correctness. Policies without an OrderEpoch (custom
-	// schedulers) run as if it were set.
-	DisableCandidateCache bool
 	// Channel identifies this controller's channel in a sharded
 	// multi-channel system; it is stamped onto CommandEvents and trace
 	// events so merged per-channel streams stay attributable. 0 for
@@ -183,8 +177,8 @@ type Controller struct {
 	// readCache and writeCache are the per-bank best-candidate caches over
 	// the corresponding queues (candcache.go). cacheReads reports whether
 	// the read cache may be reused across scans — the policy must publish an
-	// order epoch for that; the write order (writeBetter) is static, so the
-	// write cache only needs Config.DisableCandidateCache to be off.
+	// order epoch for that (custom policies without one rebuild every scan);
+	// the write order (writeBetter) is static, so the write cache always may.
 	readCache  []bankCand
 	writeCache []bankCand
 	cacheReads bool
@@ -249,9 +243,10 @@ type Controller struct {
 	// eligibility — conservative, since eligibility can only remove
 	// candidates, never make an illegal command legal. Invalidated (zeroed)
 	// by anything that can create a new candidate or change device state:
-	// enqueues and command issues (including refresh). Disabled under
-	// Config.ReferenceScan so the reference path stays a true per-cycle
-	// oracle for the equivalence tests.
+	// enqueues and command issues (including refresh). Under
+	// Config.ReferenceScan the read scan bounds at the current cycle, so
+	// the cache never skips one and the reference path stays a true
+	// per-cycle oracle for the equivalence tests.
 	idleUntil int64
 }
 
@@ -288,7 +283,7 @@ func NewController(dev *dram.Device, policy Policy, cfg Config) (*Controller, er
 	}
 	c.epoched, _ = policy.(EpochedPolicy)
 	c.elig, _ = policy.(EligibilityPolicy)
-	c.cacheReads = c.epoched != nil && !cfg.DisableCandidateCache
+	c.cacheReads = c.epoched != nil
 	if c.cfg.IDStride == 0 {
 		c.cfg.IDStride = 1
 	}
@@ -522,7 +517,7 @@ func (c *Controller) Tick(now int64) {
 	// candidate enumeration below cannot succeed. Buffer occupancy is
 	// unchanged over the window (enqueues invalidate), so the drain
 	// hysteresis below would not flip either.
-	if !c.cfg.ReferenceScan && now < c.idleUntil {
+	if now < c.idleUntil {
 		return
 	}
 
@@ -552,12 +547,7 @@ func (c *Controller) Tick(now int64) {
 			return
 		}
 	}
-	if !c.cfg.ReferenceScan {
-		if b2 < b1 {
-			b1 = b2
-		}
-		c.idleUntil = b1
-	}
+	c.idleUntil = min(b1, b2)
 }
 
 // refreshStep advances an in-progress refresh sequence: it issues a
@@ -670,8 +660,8 @@ func (c *Controller) issueRead(now int64) (bool, int64) {
 func (c *Controller) bestReadCandidate(now int64) (Candidate, bool, int64) {
 	if c.cfg.ReferenceScan {
 		best, ok := c.bestReadCandidateScan(now)
-		// The reference path never feeds the idle cache: it stays a pure
-		// per-cycle oracle for the equivalence tests.
+		// Bounding at now keeps the idle cache from skipping any cycle:
+		// the reference path stays a pure per-cycle oracle.
 		return best, ok, now
 	}
 	return c.bestCandidate(c.bankReads, c.readCache, c.cacheReads, now, false)
@@ -732,8 +722,8 @@ func (c *Controller) issueWrite(now int64) (bool, int64) {
 		best, found = c.issueWriteScan(now)
 	} else {
 		// The write order (writeBetter) is time-invariant, so the write
-		// cache needs no policy epoch — only the cache-off knob disables it.
-		best, found, bound = c.bestCandidate(c.bankWrites, c.writeCache, !c.cfg.DisableCandidateCache, now, true)
+		// cache needs no policy epoch.
+		best, found, bound = c.bestCandidate(c.bankWrites, c.writeCache, true, now, true)
 	}
 	if !found {
 		return false, bound

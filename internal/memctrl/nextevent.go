@@ -67,7 +67,7 @@ func (c *Controller) NextEventAt(now int64) int64 {
 	// Reuse the idle cache when the scan that just failed armed it; it is the
 	// same nextIssueAt bound, computed once instead of on every skip attempt.
 	t := c.idleUntil
-	if c.cfg.ReferenceScan || t <= now {
+	if t <= now {
 		t = c.nextIssueAt()
 	}
 	if t < next {

@@ -94,18 +94,16 @@ func TestCommandStreamEquivalence(t *testing.T) {
 
 // differentialRun executes one fully-instrumented run — command-stream
 // digest, telemetry report and trace log all captured — under the chosen
-// scheduling path (referenceScan), candidate-cache arm (disableCache) and
-// run loop (forceTicked). The report's loop section is stripped before
+// scheduling path (referenceScan) and run loop (forceTicked). The report's loop section is stripped before
 // marshaling: it records evaluated/skipped cycle counts and so differs
 // between the two loop modes by construction.
-func differentialRun(t *testing.T, polName string, mix workload.Mix, seed int64, referenceScan, disableCache, forceTicked bool) (streamDigest, []byte, []byte) {
+func differentialRun(t *testing.T, polName string, mix workload.Mix, seed int64, referenceScan, forceTicked bool) (streamDigest, []byte, []byte) {
 	t.Helper()
 	cfg := DefaultConfig(4)
 	cfg.Seed = seed
 	cfg.WarmupCPUCycles = 10_000
 	cfg.MeasureCPUCycles = 150_000
 	cfg.Ctrl.ReferenceScan = referenceScan
-	cfg.Ctrl.DisableCandidateCache = disableCache
 	cfg.ForceTicked = forceTicked
 	probe := telemetry.NewProbe(telemetry.Config{EpochDRAMCycles: 2048})
 	cfg.Probe = probe
@@ -145,8 +143,8 @@ func differentialRun(t *testing.T, polName string, mix workload.Mix, seed int64,
 // skipping run match byte for byte.
 func expectIdenticalRuns(t *testing.T, polName string, mix workload.Mix, seed int64, referenceScan bool) {
 	t.Helper()
-	tick, tickTel, tickTr := differentialRun(t, polName, mix, seed, referenceScan, false, true)
-	skip, skipTel, skipTr := differentialRun(t, polName, mix, seed, referenceScan, false, false)
+	tick, tickTel, tickTr := differentialRun(t, polName, mix, seed, referenceScan, true)
+	skip, skipTel, skipTr := differentialRun(t, polName, mix, seed, referenceScan, false)
 	if tick.count == 0 {
 		t.Fatalf("ticked run issued no commands (vacuous)")
 	}
@@ -196,13 +194,15 @@ func TestTickedSkippedEquivalence(t *testing.T) {
 }
 
 // TestCandidateCacheEquivalence is the candidate-cache differential matrix:
-// for every registered policy, a run with the per-bank candidate cache
-// enabled must match the cache-off run (memctrl.Config.DisableCandidateCache)
-// byte for byte — command stream, telemetry and trace log — under both the
-// next-event and the legacy ticked loop. The cache memoizes per-bank class
-// winners keyed on the policy's OrderEpoch, so this matrix is the end-to-end
-// proof of each policy's EpochedPolicy contract (DESIGN.md §16); run under
-// -race in CI alongside the loop and parallel matrices.
+// for every registered policy, a run on the bank-indexed path with its
+// per-bank candidate cache must match the reference scan
+// (memctrl.Config.ReferenceScan, which shares no selection code with the
+// cache) byte for byte — command stream, telemetry and trace log — under
+// both the next-event and the legacy ticked loop. The cache memoizes
+// per-bank class winners keyed on the policy's OrderEpoch, so this matrix
+// is the end-to-end proof of each policy's EpochedPolicy contract
+// (DESIGN.md §16); run under -race in CI alongside the loop and parallel
+// matrices.
 func TestCandidateCacheEquivalence(t *testing.T) {
 	mixes := workload.RandomMixes(2, 4, 20260808)
 	if testing.Short() {
@@ -215,50 +215,43 @@ func TestCandidateCacheEquivalence(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", name, mix.Name), func(t *testing.T) {
 				t.Parallel()
 				for _, ticked := range []bool{false, true} {
-					on, onTel, onTr := differentialRun(t, name, mix, seed, false, false, ticked)
-					off, offTel, offTr := differentialRun(t, name, mix, seed, false, true, ticked)
-					if on.count == 0 {
-						t.Fatalf("ticked=%v: cache-on run issued no commands (vacuous)", ticked)
-					}
-					if on != off {
-						t.Errorf("ticked=%v: command streams diverge: cache-on {hash %#x, %d cmds} vs cache-off {hash %#x, %d cmds}",
-							ticked, on.hash, on.count, off.hash, off.count)
-					}
-					if !bytes.Equal(onTel, offTel) {
-						t.Errorf("ticked=%v: telemetry reports differ between cache arms (%d vs %d bytes)",
-							ticked, len(onTel), len(offTel))
-					}
-					if !bytes.Equal(onTr, offTr) {
-						t.Errorf("ticked=%v: trace logs differ between cache arms (%d vs %d bytes)",
-							ticked, len(onTr), len(offTr))
-					}
+					fast, fastTel, fastTr := differentialRun(t, name, mix, seed, false, ticked)
+					ref, refTel, refTr := differentialRun(t, name, mix, seed, true, ticked)
+					expectSameRun(t, fmt.Sprintf("ticked=%v", ticked), fast, ref, fastTel, refTel, fastTr, refTr)
 				}
 			})
 		}
 	}
-	// The parallel multi-channel executor must agree across cache arms too:
+	// The parallel multi-channel executor must agree with the reference too:
 	// each shard controller keeps its own cache, and worker scheduling must
 	// not leak into the selection it memoizes.
 	for _, name := range []string{"PAR-BS", "STFM"} {
 		name := name
 		t.Run(name+"/parallel", func(t *testing.T) {
 			t.Parallel()
-			on, onTel, onTr := differentialShardRun(t, name, workload.CaseStudyI(), 7, 4, 4, false, false)
-			off, offTel, offTr := differentialShardRun(t, name, workload.CaseStudyI(), 7, 4, 4, true, false)
-			if on.count == 0 {
-				t.Fatal("cache-on parallel run issued no commands (vacuous)")
-			}
-			if on != off {
-				t.Errorf("parallel command streams diverge across cache arms: on {hash %#x, %d cmds} vs off {hash %#x, %d cmds}",
-					on.hash, on.count, off.hash, off.count)
-			}
-			if !bytes.Equal(onTel, offTel) {
-				t.Errorf("parallel telemetry reports differ between cache arms (%d vs %d bytes)", len(onTel), len(offTel))
-			}
-			if !bytes.Equal(onTr, offTr) {
-				t.Errorf("parallel trace logs differ between cache arms (%d vs %d bytes)", len(onTr), len(offTr))
-			}
+			fast, fastTel, fastTr := differentialShardRun(t, name, workload.CaseStudyI(), 7, 4, 4, false, false)
+			ref, refTel, refTr := differentialShardRun(t, name, workload.CaseStudyI(), 7, 4, 4, true, false)
+			expectSameRun(t, "parallel", fast, ref, fastTel, refTel, fastTr, refTr)
 		})
+	}
+}
+
+// expectSameRun asserts a cached run matches its reference-scan run in
+// command stream, telemetry and trace log.
+func expectSameRun(t *testing.T, arm string, fast, ref streamDigest, fastTel, refTel, fastTr, refTr []byte) {
+	t.Helper()
+	if fast.count == 0 {
+		t.Fatalf("%s: cached run issued no commands (vacuous)", arm)
+	}
+	if fast != ref {
+		t.Errorf("%s: command streams diverge: cached {hash %#x, %d cmds} vs reference {hash %#x, %d cmds}",
+			arm, fast.hash, fast.count, ref.hash, ref.count)
+	}
+	if !bytes.Equal(fastTel, refTel) {
+		t.Errorf("%s: telemetry reports differ from the reference (%d vs %d bytes)", arm, len(fastTel), len(refTel))
+	}
+	if !bytes.Equal(fastTr, refTr) {
+		t.Errorf("%s: trace logs differ from the reference (%d vs %d bytes)", arm, len(fastTr), len(refTr))
 	}
 }
 

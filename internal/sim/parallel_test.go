@@ -27,9 +27,10 @@ import (
 // barrier protocol publishes every cross-shard effect correctly.
 
 // differentialShardRun executes one fully-instrumented independent-channel
-// run and captures its command-stream digest (with channel stamps),
-// telemetry report and trace log.
-func differentialShardRun(t *testing.T, polName string, mix workload.Mix, seed int64, channels, parallelism int, disableCache, forceTicked bool) (streamDigest, []byte, []byte) {
+// run under the chosen scheduling path (referenceScan) and captures its
+// command-stream digest (with channel stamps), telemetry report and trace
+// log.
+func differentialShardRun(t *testing.T, polName string, mix workload.Mix, seed int64, channels, parallelism int, referenceScan, forceTicked bool) (streamDigest, []byte, []byte) {
 	t.Helper()
 	cfg := DefaultConfig(4)
 	cfg.Seed = seed
@@ -37,7 +38,7 @@ func differentialShardRun(t *testing.T, polName string, mix workload.Mix, seed i
 	cfg.MeasureCPUCycles = 150_000
 	cfg.Geometry.Channels = channels
 	cfg.Parallelism = parallelism
-	cfg.Ctrl.DisableCandidateCache = disableCache
+	cfg.Ctrl.ReferenceScan = referenceScan
 	cfg.ForceTicked = forceTicked
 	probe := telemetry.NewProbe(telemetry.Config{EpochDRAMCycles: 2048})
 	cfg.Probe = probe

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/memctrl"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -178,37 +179,96 @@ func attackMix(t *testing.T) workload.Mix {
 	return mix
 }
 
+// independentMix is the Independent arm of the audit test: eight memory-
+// intensive benchmarks on eight independently scheduled channels, where
+// every channel's PAR-BS forms batches of its own.
+func independentMix(t *testing.T) workload.Mix {
+	t.Helper()
+	mix, err := workload.MixOf("independent-8ch", "omnetpp", "mcf", "libquantum", "lbm",
+		"milc", "soplex", "leslie3d", "GemsFDTD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mix
+}
+
+// runTracedIndependent is runTraced for an Independent multi-channel run
+// (parbs-sim -channel-mode independent -channels N -cycles 300000).
+func runTracedIndependent(t *testing.T, polName string, mix workload.Mix, channels int) *trace.Log {
+	t.Helper()
+	cfg := DefaultConfig(len(mix.Benchmarks))
+	cfg.MeasureCPUCycles = 300_000
+	cfg.Geometry.Channels = channels
+	cfg.Parallelism = 1
+	tr := trace.NewTracer(trace.Config{})
+	cfg.Tracer = tr
+	factory := func() memctrl.Policy {
+		pol, err := sched.ByName(polName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pol
+	}
+	if _, err := RunIndependent(cfg, mix, factory); err != nil {
+		t.Fatalf("%s on %s: %v", polName, mix.Name, err)
+	}
+	if tr.Dropped() != 0 {
+		t.Fatalf("tracer dropped %d events; the run outgrew the buffer", tr.Dropped())
+	}
+	return tr.Log()
+}
+
+// expectBoundHolds asserts a PAR-BS audit is non-vacuous and its §4.3
+// bound held.
+func expectBoundHolds(t *testing.T, mix string, par *analysis.Audit) {
+	t.Helper()
+	if par.Requests == 0 || par.Batches == 0 {
+		t.Fatalf("PAR-BS run traced %d requests, %d batches; vacuous", par.Requests, par.Batches)
+	}
+	if !par.Verdict.Holds {
+		t.Errorf("PAR-BS starvation bound violated on %s: %+v", mix, par.Verdict)
+	}
+	if par.Verdict.MaxBatchesWaited > par.Verdict.BatchWaitBound {
+		t.Errorf("batch-wait: observed %d > bound %d", par.Verdict.MaxBatchesWaited, par.Verdict.BatchWaitBound)
+	}
+}
+
 // TestStarvationAuditEndToEnd drives the paper's §4.3 claim through the
 // whole pipeline on two workloads: under PAR-BS no request waits more batch
 // formations than the Marking-Cap bound allows and every latency fits the
 // derived envelope, while FR-FCFS forms no batches and so offers no bound
-// at all — exactly the starvation the attack workload exploits.
+// at all — exactly the starvation the attack workload exploits. The
+// Independent arm holds PAR-BS to the same bound on eight channels, each
+// forming its own batches.
 func TestStarvationAuditEndToEnd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("audit runs four simulations; skipped with -short")
+		t.Skip("audit runs five simulations; skipped with -short")
 	}
 	mixes := []workload.Mix{workload.CaseStudyI(), attackMix(t)}
 	for _, mix := range mixes {
 		mix := mix
 		t.Run(mix.Name, func(t *testing.T) {
 			t.Parallel()
-			par := trace.Analyze(runTraced(t, "PAR-BS", mix, 1))
-			if par.Requests == 0 || par.Batches == 0 {
-				t.Fatalf("PAR-BS run traced %d requests, %d batches; vacuous", par.Requests, par.Batches)
-			}
-			if !par.Audit.Holds {
-				t.Errorf("PAR-BS starvation bound violated on %s: %+v", mix.Name, par.Audit)
-			}
-			if par.Audit.MaxBatchesWaited > par.Audit.BatchWaitBound {
-				t.Errorf("batch-wait: observed %d > bound %d", par.Audit.MaxBatchesWaited, par.Audit.BatchWaitBound)
-			}
+			par := analysis.FromLog(runTraced(t, "PAR-BS", mix, 1)).Audit()
+			expectBoundHolds(t, mix.Name, par)
 
-			fr := trace.Analyze(runTraced(t, "FR-FCFS", mix, 1))
-			if fr.Audit.Batched || fr.Audit.Holds {
-				t.Errorf("FR-FCFS audit should report no bound: %+v", fr.Audit)
+			fr := analysis.FromLog(runTraced(t, "FR-FCFS", mix, 1)).Audit()
+			if fr.Verdict.Batched || fr.Verdict.Holds {
+				t.Errorf("FR-FCFS audit should report no bound: %+v", fr.Verdict)
 			}
 			t.Logf("%s worst read latency: PAR-BS %d cycles (envelope %d), FR-FCFS %d cycles",
-				mix.Name, par.Audit.MaxDelayCycles, par.Audit.DelayBoundCycles, fr.Audit.MaxDelayCycles)
+				mix.Name, par.Verdict.MaxDelayCycles, par.Verdict.DelayBoundCycles, fr.Verdict.MaxDelayCycles)
 		})
 	}
+	t.Run("independent-8ch", func(t *testing.T) {
+		t.Parallel()
+		mix := independentMix(t)
+		par := analysis.FromLog(runTracedIndependent(t, "PAR-BS", mix, 8)).Audit()
+		if par.Meta.Channels != 8 {
+			t.Fatalf("traced %d channels, want 8", par.Meta.Channels)
+		}
+		expectBoundHolds(t, mix.Name, par)
+		t.Logf("%s: %d batch formations on 8 channels, worst wait %d of bound %d",
+			mix.Name, par.Batches, par.Verdict.MaxBatchesWaited, par.Verdict.BatchWaitBound)
+	})
 }

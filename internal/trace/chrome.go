@@ -138,8 +138,8 @@ func WriteChrome(w io.Writer, log *Log) error {
 			if r.write {
 				prefix = "WR req "
 			}
-			// Wait decomposition mirrors the analyzer: unmarked-queued,
-			// marked-waiting, service (see analyze.go).
+			// Wait decomposition in the phases internal/analysis
+			// attributes: unmarked-queued, marked-waiting, service.
 			markEnd := r.firstCmd
 			if markEnd < 0 {
 				markEnd = ev.Cycle

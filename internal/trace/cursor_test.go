@@ -72,7 +72,7 @@ func TestCursorIncrementalMatchesWriteJSONL(t *testing.T) {
 	}
 
 	// The live stream must itself be a valid parbs.trace/v1 log.
-	if _, err := ReadLog(bytes.NewReader(live.Bytes())); err != nil {
+	if _, err := readLog(bytes.NewReader(live.Bytes())); err != nil {
 		t.Errorf("concatenated live stream unreadable: %v", err)
 	}
 }
@@ -87,7 +87,7 @@ func TestJSONLHeaderCarriesChannels(t *testing.T) {
 	if err := WriteJSONL(&buf, tr.Log()); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadLog(bytes.NewReader(buf.Bytes()))
+	back, err := readLog(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

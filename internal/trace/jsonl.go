@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/json"
 	"io"
-	"slices"
 )
 
 // JSONL wire format: one JSON object per line. The first line is the run
@@ -166,27 +165,3 @@ func (c *Cursor) render(buf []byte) ([]byte, error) {
 
 // WriteJSONL renders the tracer's recorded run as schema-versioned JSONL.
 func (t *Tracer) WriteJSONL(w io.Writer) error { return WriteJSONL(w, t.Log()) }
-
-// ReadLog parses a JSONL event log produced by WriteJSONL. It rejects
-// streams whose header schema is not Schema, and unlike the Scanner it
-// refuses a damaged event stream instead of returning its prefix.
-func ReadLog(r io.Reader) (*Log, error) {
-	sc, err := NewScanner(r)
-	if err != nil {
-		return nil, err
-	}
-	log := &Log{Meta: sc.Meta(), Dropped: sc.Dropped(), Events: make([]Event, 0, sc.Prealloc())}
-	for {
-		ev, perThread, err := sc.Next()
-		if err == io.EOF {
-			return log, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		log.Events = append(log.Events, ev)
-		if ev.Kind == KindBatch {
-			log.BatchPerThread = append(log.BatchPerThread, slices.Clone(perThread))
-		}
-	}
-}

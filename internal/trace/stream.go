@@ -8,11 +8,10 @@ import (
 	"io"
 )
 
-// Streaming access to parbs.trace/v1 JSONL. ReadLog (jsonl.go) wants the
-// whole log in memory and rejects any malformed line; the Scanner here is
-// the ingest-side counterpart: it yields events one at a time so a consumer
-// can fold them into aggregates without materializing the event slice, and
-// it is deliberately lenient about truncation. Logs arrive truncated in two
+// Streaming access to parbs.trace/v1 JSONL: the Scanner is the one reader
+// of the wire format. It yields events one at a time so a consumer can fold
+// them into aggregates without materializing the event slice, and it is
+// deliberately lenient about truncation. Logs arrive truncated in two
 // honest ways — the tracer's buffer filled (header dropped > 0) and the
 // recorded prefix is complete, or the file itself was cut mid-line (a
 // killed run, a partial download). The Scanner surfaces the second as

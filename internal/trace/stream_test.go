@@ -35,7 +35,7 @@ func streamFixture(t *testing.T) (*Log, string) {
 }
 
 // TestScannerMatchesReadLog: streaming the fixture yields exactly the
-// events ReadLog materializes, including the per-thread batch shape.
+// events the tracer recorded, including the per-thread batch shape.
 func TestScannerMatchesReadLog(t *testing.T) {
 	want, jsonl := streamFixture(t)
 	sc, err := NewScanner(strings.NewReader(jsonl))
@@ -146,28 +146,6 @@ func TestScannerRejectsBadHeader(t *testing.T) {
 	}
 }
 
-// TestAnalyzeTruncatedLogFlagged: Dropped > 0 in the log must surface as
-// Analysis.Truncated with the partial figures intact, and the text report
-// must carry the caveat.
-func TestAnalyzeTruncatedLogFlagged(t *testing.T) {
-	log, _ := streamFixture(t)
-	log.Dropped = 123
-	a := Analyze(log)
-	if !a.Truncated || a.Dropped != 123 {
-		t.Fatalf("Truncated=%v Dropped=%d, want true/123", a.Truncated, a.Dropped)
-	}
-	if a.Requests != 1 {
-		t.Errorf("Requests = %d, want 1 (prefix still analyzed)", a.Requests)
-	}
-	var buf bytes.Buffer
-	if err := a.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "truncated") {
-		t.Errorf("text report lacks truncation caveat:\n%s", buf.String())
-	}
-}
-
 // lineKeys returns the top-level keys of one JSON line, in order.
 func lineKeys(t *testing.T, line []byte) []string {
 	t.Helper()
@@ -248,7 +226,7 @@ func TestReadLogHeaderCountIsAHint(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		log, err := ReadLog(strings.NewReader(raw))
+		log, err := readLog(strings.NewReader(raw))
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatalf("events=%s: %v", events, err)
@@ -257,7 +235,7 @@ func TestReadLogHeaderCountIsAHint(t *testing.T) {
 			t.Errorf("events=%s: read %d events, want 1", events, len(log.Events))
 		}
 		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
-			t.Errorf("events=%s: ReadLog allocated %d bytes for a %d-byte log", events, n, len(raw))
+			t.Errorf("events=%s: readLog allocated %d bytes for a %d-byte log", events, n, len(raw))
 		}
 	}
 	if got := EventsHint(1<<34, 100); got != 100/minEventLine+1 {

@@ -15,16 +15,17 @@
 //
 // Two renderers sit on top of the recorded events: a compact JSONL event
 // log with a versioned schema (jsonl.go, Schema) and Chrome trace-event
-// JSON loadable in Perfetto or chrome://tracing (chrome.go). The forensics
-// analyzer (analyze.go) consumes the log and produces per-request wait
-// decomposition, per-thread worst-case latencies, and the starvation audit
-// that checks observed delays against the paper's Marking-Cap bound.
+// JSON loadable in Perfetto or chrome://tracing (chrome.go). The analysis
+// layer (internal/analysis) ingests the JSONL log through the Scanner
+// (stream.go) into its wait decomposition, bottleneck reports, and the
+// starvation audit that checks observed delays against the paper's
+// Marking-Cap bound.
 package trace
 
 import "repro/internal/dram"
 
 // Schema identifies the JSONL event-log wire format. Bump the version
-// suffix on any incompatible change; ReadLog rejects mismatched schemas.
+// suffix on any incompatible change; NewScanner rejects mismatched schemas.
 const Schema = "parbs.trace/v1"
 
 // DefaultMaxEvents bounds the buffered events when the caller does not
@@ -243,14 +244,14 @@ func (t *Tracer) BatchDrained(batch int64, now int64, duration int64) {
 }
 
 // Log snapshots the recorded run as an immutable event log, the common
-// input of the renderers and the analyzer.
+// input of the renderers.
 func (t *Tracer) Log() *Log {
 	return &Log{Meta: t.meta, Dropped: t.dropped, Events: t.events, BatchPerThread: t.batchPT}
 }
 
 // Log is one run's recorded event stream: metadata, the events in
 // simulation processing order, and each batch's per-thread marked counts
-// (in KindBatch event order). Produced by Tracer.Log or ReadLog.
+// (in KindBatch event order). Produced by Tracer.Log.
 type Log struct {
 	Meta    Meta
 	Dropped int64

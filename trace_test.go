@@ -6,12 +6,13 @@ import (
 	"encoding/json"
 	"testing"
 
-	"repro/internal/trace"
+	"repro/internal/analysis"
 )
 
 // TestWithTraceEndToEnd drives the public tracing surface: a traced run
 // yields a JSONL event log that round-trips through the versioned schema
-// into the forensics analyzer, and a Chrome artifact that is valid JSON.
+// into the analysis store and its starvation audit, and a Chrome artifact
+// that is valid JSON.
 func TestWithTraceEndToEnd(t *testing.T) {
 	w, err := WorkloadFromNames("mcf", "lbm", "hmmer", "h264ref")
 	if err != nil {
@@ -42,19 +43,22 @@ func TestWithTraceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, err := trace.ReadLog(bytes.NewReader(events))
+	store, err := analysis.Ingest(bytes.NewReader(events))
 	if err != nil {
 		t.Fatalf("JSONL round-trip: %v", err)
 	}
-	if log.Meta.Policy != "PAR-BS" || log.Meta.Cores != 4 {
-		t.Errorf("log meta wrong: %+v", log.Meta)
+	if store.Truncated() {
+		t.Error("complete JSONL ingested as truncated")
 	}
-	a := trace.Analyze(log)
+	if m := store.Meta(); m.Policy != "PAR-BS" || m.Cores != 4 {
+		t.Errorf("log meta wrong: %+v", m)
+	}
+	a := store.Audit()
 	if a.Requests == 0 || a.Batches == 0 {
-		t.Fatalf("analysis is vacuous: %d requests, %d batches", a.Requests, a.Batches)
+		t.Fatalf("audit is vacuous: %d requests, %d batches", a.Requests, a.Batches)
 	}
-	if !a.Audit.Holds {
-		t.Errorf("starvation audit failed on a PAR-BS run: %+v", a.Audit)
+	if !a.Verdict.Holds {
+		t.Errorf("starvation audit failed on a PAR-BS run: %+v", a.Verdict)
 	}
 
 	chrome, err := tr.ChromeTrace()
