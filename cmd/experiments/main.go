@@ -33,7 +33,7 @@ func main() {
 		jsonOut = flag.Bool("json", false, "also write <ID>.json artifacts under -out")
 		seed    = flag.Int64("seed", 1, "workload construction seed")
 		list    = flag.Bool("list", false, "list experiment IDs and exit")
-		par     = flag.Int("parallelism", 0, "worker goroutines for independent-channel runs (0 = GOMAXPROCS; results identical)")
+		par     = flag.Int("parallelism", 0, "worker goroutines for independent-channel runs (0 or 1 = sequential; results identical)")
 	)
 	flag.Parse()
 

@@ -26,8 +26,8 @@ type Context struct {
 	// the simulator's zero-overhead no-checkpoint fast path).
 	Ctx context.Context
 	// Parallelism bounds the worker goroutines of Independent-channel runs
-	// (the X8 channel-organization experiment): 0 = GOMAXPROCS, 1 =
-	// sequential. Results are byte-identical either way.
+	// (the X8 channel-organization experiment): 0 or 1 = sequential, 2 or
+	// more = a worker pool. Results are byte-identical either way.
 	Parallelism int
 
 	mu    sync.Mutex

@@ -174,6 +174,11 @@ type Controller struct {
 	// CAS issue.
 	bankReads  []reqList
 	bankWrites []reqList
+	// readBanks and writeBanks hold one bit per bank whose bankReads or
+	// bankWrites queue is non-empty (bitmask.go): set on enqueue, cleared by
+	// removeBuffered when the queue empties. The scans visit only those banks.
+	readBanks  bitmask
+	writeBanks bitmask
 	// readCache and writeCache are the per-bank best-candidate caches over
 	// the corresponding queues (candcache.go). cacheReads reports whether
 	// the read cache may be reused across scans — the policy must publish an
@@ -213,8 +218,14 @@ type Controller struct {
 
 	// Table 1 registers: per-thread-per-bank and per-thread outstanding
 	// read request counts (ReqsInBankPerThread, ReqsPerThread).
+	// bankCount[t] caches how many banks have a non-zero
+	// perThreadPerBank[t][b] (STFM's bank-parallelism divisor), and readers
+	// holds the threads with a non-zero perThread; both change only where a
+	// count crosses 0↔1.
 	perThreadPerBank [][]int
 	perThread        []int
+	bankCount        []int
+	readers          bitmask
 	// inServiceBank counts, per thread per bank, read requests with >=1
 	// command issued and data not yet returned. banksBusy caches how many
 	// banks have a non-zero count, for the BLP metric (writes never stall
@@ -222,14 +233,17 @@ type Controller struct {
 	inServiceBank [][]int
 	banksBusy     []int
 
-	// blpPending counts evaluated (or skipped — see AccountIdleSpan) cycles
-	// whose BLP accounting has not yet been folded into threadStats. The
-	// per-cycle accrual the ticked loop used to perform is deferred until a
-	// busy-bank count is about to change (retire, first service of a read)
-	// or the stats are read, then applied in closed form: banksBusy is
-	// constant over the pending span by construction, so the deferred sum
-	// equals the per-cycle one bit for bit.
-	blpPending int64
+	// accounted counts the cycles accounted so far — one per Tick plus every
+	// AccountIdleSpan span — and is never reset. blpMark[t] is the value of
+	// accounted up to which thread t's BLP has been folded into threadStats.
+	// The per-cycle accrual the ticked loop used to perform is deferred until
+	// that thread's busy-bank count is about to change (retire, first service
+	// of a read) or its stats are read, then applied in closed form:
+	// banksBusy[t] is constant over accounted−blpMark[t] cycles by
+	// construction, so the deferred sum equals the per-cycle one bit for bit,
+	// and a transition settles only its own thread.
+	accounted int64
+	blpMark   []int64
 
 	threadStats []ThreadStats
 	cmdsIssued  int64
@@ -264,13 +278,18 @@ func NewController(dev *dram.Device, policy Policy, cfg Config) (*Controller, er
 		writes:           reqList{kind: linkBuf},
 		bankReads:        make([]reqList, banks),
 		bankWrites:       make([]reqList, banks),
+		readBanks:        newBitmask(banks),
+		writeBanks:       newBitmask(banks),
 		readCache:        make([]bankCand, banks),
 		writeCache:       make([]bankCand, banks),
 		inflight:         newInflightRing(cfg.ReadBufEntries + cfg.WriteBufEntries),
 		perThreadPerBank: make([][]int, cfg.Threads),
 		perThread:        make([]int, cfg.Threads),
+		bankCount:        make([]int, cfg.Threads),
+		readers:          newBitmask(cfg.Threads),
 		inServiceBank:    make([][]int, cfg.Threads),
 		banksBusy:        make([]int, cfg.Threads),
+		blpMark:          make([]int64, cfg.Threads),
 		threadStats:      make([]ThreadStats, cfg.Threads),
 	}
 	for b := range c.bankReads {
@@ -372,6 +391,17 @@ func (c *Controller) ReadsInBank(thread, bank int) int {
 	return c.perThreadPerBank[thread][bank]
 }
 
+// BanksWithReads returns how many banks hold at least one of the thread's
+// buffered reads — the count of non-zero ReadsInBank(thread, ·), kept in
+// O(1).
+func (c *Controller) BanksWithReads(thread int) int { return c.bankCount[thread] }
+
+// ThreadsWithReads returns the set of threads with at least one buffered
+// read, as a bitmask: thread t is bit t%64 of word t/64. The slice is the
+// controller's live state, valid until the next enqueue or issue; callers
+// must not modify it.
+func (c *Controller) ThreadsWithReads() []uint64 { return c.readers }
+
 // PendingReads returns the total number of buffered reads.
 func (c *Controller) PendingReads() int { return c.reads.n }
 
@@ -382,7 +412,7 @@ func (c *Controller) PendingWrites() int { return c.writes.n }
 // BLP accounting is folded in first, so the copy is exact as of the last
 // Tick or AccountIdleSpan.
 func (c *Controller) ThreadStats(thread int) ThreadStats {
-	c.flushBLP()
+	c.flushBLP(thread)
 	return c.threadStats[thread]
 }
 
@@ -392,8 +422,8 @@ func (c *Controller) ThreadStats(thread int) ThreadStats {
 func (c *Controller) ResetStats() {
 	for i := range c.threadStats {
 		c.threadStats[i] = ThreadStats{}
+		c.blpMark[i] = c.accounted
 	}
-	c.blpPending = 0
 	c.cmdsIssued = 0
 	c.dev.ResetStats()
 }
@@ -418,8 +448,15 @@ func (c *Controller) EnqueueRead(thread int, addr int64, now int64) (*Request, b
 	c.enqueues++
 	c.reads.pushBack(r)
 	c.bankReads[r.Loc.Bank].pushBack(r)
+	c.readBanks.set(r.Loc.Bank)
 	c.perThread[thread]++
+	if c.perThread[thread] == 1 {
+		c.readers.set(thread)
+	}
 	c.perThreadPerBank[thread][r.Loc.Bank]++
+	if c.perThreadPerBank[thread][r.Loc.Bank] == 1 {
+		c.bankCount[thread]++
+	}
 	// Arrival is traced before the policy sees the request: empty-slot
 	// batching may mark it inside OnEnqueue, and the trace must show the
 	// arrival first.
@@ -444,6 +481,7 @@ func (c *Controller) EnqueueWrite(thread int, addr int64, now int64) bool {
 	c.enqueues++
 	c.writes.pushBack(r)
 	c.bankWrites[r.Loc.Bank].pushBack(r)
+	c.writeBanks.set(r.Loc.Bank)
 	c.cacheInsert(c.writeCache, r, true)
 	if c.tracer != nil {
 		c.tracer.RequestArrived(r.ID, thread, r.Loc.Bank, r.Loc.Row, true, now)
@@ -491,11 +529,11 @@ func (c *Controller) freeRequest(r *Request) {
 func (c *Controller) Tick(now int64) {
 	c.retire(now)
 	c.policy.OnCycle(now)
-	// Defer this cycle's BLP accrual (see blpPending). Retires above already
-	// flushed older cycles before changing any busy-bank count, so cycle
-	// `now` is pending with its post-retire counts — exactly what the old
-	// per-cycle accountBLP observed at this point.
-	c.blpPending++
+	// Defer this cycle's BLP accrual (see accounted). Retires above already
+	// settled older cycles of their thread before changing its busy-bank
+	// count, so cycle `now` is pending with its post-retire counts — exactly
+	// what the old per-cycle accountBLP observed at this point.
+	c.accounted++
 
 	// Global early-out: with the command bus busy this cycle, no command
 	// of any kind can issue, so skip all candidate enumeration.
@@ -599,9 +637,9 @@ func (c *Controller) retire(now int64) {
 		}
 		c.inServiceBank[r.Thread][r.Loc.Bank]--
 		if c.inServiceBank[r.Thread][r.Loc.Bank] == 0 {
-			// The busy-bank count is about to drop: settle all pending BLP
-			// cycles (over which it was constant) before the transition.
-			c.flushBLP()
+			// The busy-bank count is about to drop: settle the thread's
+			// pending BLP cycles (over which it was constant) first.
+			c.flushBLP(r.Thread)
 			c.banksBusy[r.Thread]--
 		}
 		lat := e.end - r.Arrival
@@ -624,21 +662,21 @@ func (c *Controller) retire(now int64) {
 	}
 }
 
-// flushBLP folds the pending BLP cycles into threadStats in closed form.
-// Callers guarantee every busy-bank count was constant over the pending
-// span (retire and first-service flush before transitioning), so crediting
-// `count × pending` equals the retired per-cycle accrual bit for bit.
-func (c *Controller) flushBLP() {
-	p := c.blpPending
+// flushBLP folds the thread's pending BLP cycles (accounted − blpMark) into
+// its stats in closed form. Callers guarantee the thread's busy-bank count
+// was constant over that span (retire and first-service flush before
+// transitioning), so crediting `count × pending` equals the retired
+// per-cycle accrual bit for bit.
+func (c *Controller) flushBLP(thread int) {
+	p := c.accounted - c.blpMark[thread]
 	if p == 0 {
 		return
 	}
-	c.blpPending = 0
-	for t := range c.banksBusy {
-		if n := c.banksBusy[t]; n > 0 {
-			c.threadStats[t].blpSum += int64(n) * p
-			c.threadStats[t].blpCycles += p
-		}
+	c.blpMark[thread] = c.accounted
+	if n := c.banksBusy[thread]; n > 0 {
+		st := &c.threadStats[thread]
+		st.blpSum += int64(n) * p
+		st.blpCycles += p
 	}
 }
 
@@ -664,7 +702,7 @@ func (c *Controller) bestReadCandidate(now int64) (Candidate, bool, int64) {
 		// the reference path stays a pure per-cycle oracle.
 		return best, ok, now
 	}
-	return c.bestCandidate(c.bankReads, c.readCache, c.cacheReads, now, false)
+	return c.bestCandidate(c.bankReads, c.readBanks, c.readCache, c.cacheReads, now, false)
 }
 
 // better orders candidates: the attached policy for reads, FR-FCFS for
@@ -723,7 +761,7 @@ func (c *Controller) issueWrite(now int64) (bool, int64) {
 	} else {
 		// The write order (writeBetter) is time-invariant, so the write
 		// cache needs no policy epoch.
-		best, found, bound = c.bestCandidate(c.bankWrites, c.writeCache, true, now, true)
+		best, found, bound = c.bestCandidate(c.bankWrites, c.writeBanks, c.writeCache, true, now, true)
 	}
 	if !found {
 		return false, bound
@@ -781,11 +819,11 @@ func (c *Controller) issue(cand Candidate, now int64) {
 		r.firstCmd = now
 		if !r.IsWrite {
 			if c.inServiceBank[r.Thread][r.Loc.Bank] == 0 {
-				// First service raises the busy-bank count: settle pending
-				// BLP cycles first. The pending span already includes cycle
-				// `now` with its pre-issue count, matching the old per-cycle
-				// accrual that ran before scheduling.
-				c.flushBLP()
+				// First service raises the busy-bank count: settle the
+				// thread's pending BLP cycles first. The pending span already
+				// includes cycle `now` with its pre-issue count, matching the
+				// old per-cycle accrual that ran before scheduling.
+				c.flushBLP(r.Thread)
 				c.banksBusy[r.Thread]++
 			}
 			c.inServiceBank[r.Thread][r.Loc.Bank]++
@@ -854,19 +892,33 @@ func (c *Controller) rowWantedScan(req *Request) bool {
 
 // removeBuffered unlinks a CAS-issued request from its buffer and bank
 // queue — O(1) pointer surgery on the intrusive lists — and updates the
-// bank's candidate entry (invalidated only when a cached winner departs).
+// bank's candidate entry (invalidated only when a cached winner departs),
+// the non-empty-bank masks and the per-thread read counters.
 func (c *Controller) removeBuffered(r *Request) {
+	b := r.Loc.Bank
 	if r.IsWrite {
 		c.writes.remove(r)
-		c.bankWrites[r.Loc.Bank].remove(r)
-		c.writeCache[r.Loc.Bank].cacheRemove(r)
+		c.bankWrites[b].remove(r)
+		if c.bankWrites[b].n == 0 {
+			c.writeBanks.clear(b)
+		}
+		c.writeCache[b].cacheRemove(r)
 		return
 	}
 	c.reads.remove(r)
-	c.bankReads[r.Loc.Bank].remove(r)
-	c.readCache[r.Loc.Bank].cacheRemove(r)
+	c.bankReads[b].remove(r)
+	if c.bankReads[b].n == 0 {
+		c.readBanks.clear(b)
+	}
+	c.readCache[b].cacheRemove(r)
 	c.perThread[r.Thread]--
-	c.perThreadPerBank[r.Thread][r.Loc.Bank]--
+	if c.perThread[r.Thread] == 0 {
+		c.readers.clear(r.Thread)
+	}
+	c.perThreadPerBank[r.Thread][b]--
+	if c.perThreadPerBank[r.Thread][b] == 0 {
+		c.bankCount[r.Thread]--
+	}
 }
 
 // logCmd forwards an issued command to the registered log hook.

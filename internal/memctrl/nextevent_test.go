@@ -114,10 +114,13 @@ func TestAccountIdleSpanMatchesPerCycle(t *testing.T) {
 	perCycle, closed := build(), build()
 	const span = 37
 	for i := 0; i < span; i++ {
-		// One deferred cycle at a time, settled immediately: the per-cycle
-		// accounting the ticked loop used to perform inline.
-		perCycle.blpPending++
-		perCycle.flushBLP()
+		// One deferred cycle at a time, settled immediately for every
+		// thread: the per-cycle accounting the ticked loop used to perform
+		// inline.
+		perCycle.accounted++
+		for th := 0; th < 3; th++ {
+			perCycle.flushBLP(th)
+		}
 	}
 	closed.AccountIdleSpan(span)
 	for th := 0; th < 3; th++ {
@@ -125,5 +128,113 @@ func TestAccountIdleSpanMatchesPerCycle(t *testing.T) {
 		if a != b {
 			t.Errorf("thread %d: per-cycle stats %+v != closed-form %+v", th, a, b)
 		}
+	}
+}
+
+// blpOraclePolicy accrues the paper's BLP per cycle, the way the controller
+// did before accrual was deferred: OnCycle runs inside Tick after retires
+// and before the cycle's command issues, which is exactly the point whose
+// busy-bank counts the per-cycle accrual sampled.
+type blpOraclePolicy struct {
+	eventedPolicy
+	sum, cycles []int64
+}
+
+func (p *blpOraclePolicy) OnCycle(now int64) {
+	p.accrue(1)
+}
+
+// accrue credits `cycles` cycles at the current busy-bank counts.
+func (p *blpOraclePolicy) accrue(cycles int64) {
+	for th, n := range p.ctrl.banksBusy {
+		if n > 0 {
+			p.sum[th] += int64(n) * cycles
+			p.cycles[th] += cycles
+		}
+	}
+}
+
+// TestPerThreadBLPMatchesPerCycle runs a controller under a random request
+// stream on the simulator's clock discipline — tick, then skip idle spans
+// that NextEventAt proves quiet, accounting them with AccountIdleSpan — and
+// holds every thread's settled BLP accumulators to a per-cycle oracle. Stats
+// are read for random threads at random cycles (settling those threads and
+// not the others) and reset once mid-run as warmup does, so the per-thread
+// marks must stay right across partial settles and ResetStats.
+func TestPerThreadBLPMatchesPerCycle(t *testing.T) {
+	const threads = 4
+	dev, err := dram.NewDevice(dram.DDR2_800(), dram.DefaultGeometry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := &blpOraclePolicy{sum: make([]int64, threads), cycles: make([]int64, threads)}
+	c, err := NewController(dev, pol, DefaultConfig(threads))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compare := func(now int64, th int) {
+		t.Helper()
+		sum, cycles := c.ThreadStats(th).BLPAccum()
+		if sum != pol.sum[th] || cycles != pol.cycles[th] {
+			t.Fatalf("cycle %d thread %d: settled BLP (sum %d, cycles %d) != per-cycle (sum %d, cycles %d)",
+				now, th, sum, cycles, pol.sum[th], pol.cycles[th])
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	const warmup, end = 7_000, 40_000
+	arrival, skipped := int64(0), int64(0)
+	for now := int64(0); now < end; {
+		if now == warmup {
+			// The reset must drop cycles some thread has not settled yet,
+			// or a mark left behind by ResetStats would go unnoticed.
+			unsettled := false
+			for th := 0; th < threads; th++ {
+				unsettled = unsettled || (c.banksBusy[th] > 0 && c.blpMark[th] < c.accounted)
+			}
+			if !unsettled {
+				t.Fatal("no thread has unsettled busy cycles at the reset; test is vacuous")
+			}
+			c.ResetStats()
+			clear(pol.sum)
+			clear(pol.cycles)
+		}
+		if now == arrival {
+			th, addr := rng.Intn(threads), rng.Int63n(1<<14)*64
+			if rng.Intn(4) == 0 {
+				c.EnqueueWrite(th, addr, now)
+			} else if c.PendingReads() < 48 {
+				c.EnqueueRead(th, addr, now)
+			}
+			arrival = now + 1 + rng.Int63n(12)
+		}
+		issued := c.CommandsIssued()
+		c.Tick(now)
+		if rng.Intn(50) == 0 {
+			compare(now, rng.Intn(threads))
+		}
+		next := now + 1
+		if c.CommandsIssued() == issued && rng.Intn(2) == 0 {
+			// Skip to the controller's next event, as the run loop does,
+			// capped at the next arrival and at the warmup reset.
+			next = min(c.NextEventAt(now), arrival, end)
+			if now < warmup {
+				next = min(next, warmup)
+			}
+			if span := next - now - 1; span > 0 {
+				c.AccountIdleSpan(span)
+				pol.accrue(span)
+				skipped += span
+			}
+		}
+		now = next
+	}
+	for th := 0; th < threads; th++ {
+		compare(end, th)
+		if pol.cycles[th] == 0 {
+			t.Errorf("thread %d never had a busy bank after warmup; test is vacuous", th)
+		}
+	}
+	if skipped == 0 {
+		t.Error("no idle span was skipped; the closed-form path went unexercised")
 	}
 }

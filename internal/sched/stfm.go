@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math/bits"
+
 	"repro/internal/dram"
 	"repro/internal/memctrl"
 )
@@ -112,36 +114,32 @@ func (s *STFM) OnIssue(c memctrl.Candidate, now int64) {
 			dur = s.burst
 		}
 	}
-	for th := range s.shared {
-		if th == issuer {
-			continue
+	// Only threads with a buffered read can be charged (a same-bank waiter
+	// has one by definition), so visit just those.
+	for w, word := range s.ctrl.ThreadsWithReads() {
+		for ; word != 0; word &= word - 1 {
+			th := w<<6 | bits.TrailingZeros64(word)
+			if th == issuer {
+				continue
+			}
+			var charge float64
+			if s.ctrl.ReadsInBank(th, bank) > 0 {
+				charge = float64(dur) // bank interference
+			} else if c.Cmd == dram.CmdRead || c.Cmd == dram.CmdWrite {
+				charge = float64(s.burst) // bus interference
+			} else {
+				continue
+			}
+			s.interference[th] += charge / float64(s.blpEstimate(th))
 		}
-		var charge float64
-		if s.ctrl.ReadsInBank(th, bank) > 0 {
-			charge = float64(dur) // bank interference
-		} else if (c.Cmd == dram.CmdRead || c.Cmd == dram.CmdWrite) && s.ctrl.ReadsPerThread(th) > 0 {
-			charge = float64(s.burst) // bus interference
-		} else {
-			continue
-		}
-		s.interference[th] += charge / float64(s.blpEstimate(th))
 	}
 }
 
 // blpEstimate returns the number of banks the thread currently has requests
-// in (at least 1), STFM's bank-parallelism divisor.
+// in (at least 1), STFM's bank-parallelism divisor. The controller keeps the
+// count as its per-thread-per-bank counters cross zero, so this is O(1).
 func (s *STFM) blpEstimate(thread int) int {
-	banks := s.ctrl.Device().Geometry().Banks
-	n := 0
-	for b := 0; b < banks; b++ {
-		if s.ctrl.ReadsInBank(thread, b) > 0 {
-			n++
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(s.ctrl.BanksWithReads(thread), 1)
 }
 
 // OnComplete implements memctrl.Policy.

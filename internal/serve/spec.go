@@ -52,9 +52,9 @@ type SystemSpec struct {
 	// "independent" (one scheduler per channel; see parbs.ChannelMode).
 	ChannelMode string `json:"channel_mode,omitempty"`
 	// Parallelism bounds the worker goroutines of an independent-channel
-	// run: 0 = GOMAXPROCS, 1 = sequential. Execution speed only; results
-	// are byte-identical at every level, so it is excluded from the result
-	// cache key.
+	// run: 0 or 1 = sequential, 2 or more = a worker pool. Execution speed
+	// only; results are byte-identical at every level, so it is excluded
+	// from the result cache key.
 	Parallelism   int    `json:"parallelism,omitempty"`
 	Banks         int    `json:"banks,omitempty"`
 	MeasureCycles int64  `json:"measure_cycles,omitempty"`

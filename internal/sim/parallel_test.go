@@ -118,16 +118,29 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 			})
 		}
 	}
-	// GOMAXPROCS-many workers (Parallelism=0) must agree too.
+	// GOMAXPROCS-many workers must agree too.
 	t.Run("PAR-BS/gomaxprocs", func(t *testing.T) {
 		t.Parallel()
-		expectIdenticalShardRuns(t, "PAR-BS", workload.CaseStudyI(), 7, 4, 1, 0, false, false)
+		expectIdenticalShardRuns(t, "PAR-BS", workload.CaseStudyI(), 7, 4, 1, runtime.GOMAXPROCS(0), false, false)
 	})
 	// Non-pow2 channel counts exercise the modulo route.
 	t.Run("FR-FCFS/3-channels", func(t *testing.T) {
 		t.Parallel()
 		expectIdenticalShardRuns(t, "FR-FCFS", workload.CaseStudyI(), 7, 3, 1, 3, false, false)
 	})
+}
+
+// TestWorkerCountDefaultsInline pins the Parallelism knob's resolution: the
+// zero value runs shards inline like 1, and only an explicit 2 or more
+// starts the worker pool, clamped to the shard count.
+func TestWorkerCountDefaultsInline(t *testing.T) {
+	for _, tc := range []struct{ parallelism, shards, want int }{
+		{0, 4, 1}, {1, 4, 1}, {2, 4, 2}, {4, 4, 4}, {8, 4, 4}, {0, 1, 1}, {3, 1, 1},
+	} {
+		if got := workerCount(tc.parallelism, tc.shards); got != tc.want {
+			t.Errorf("workerCount(%d, %d) = %d, want %d", tc.parallelism, tc.shards, got, tc.want)
+		}
+	}
 }
 
 // TestParallelTickedSkippedEquivalence crosses the parallel executor with
@@ -175,7 +188,7 @@ func TestParallelCancellation(t *testing.T) {
 func TestParallelGoroutineExit(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := quickCfg(8)
-	cfg.Parallelism = 0 // GOMAXPROCS workers
+	cfg.Parallelism = 4
 	if _, err := RunIndependent(cfg, workload.Figure9Workload(), func() memctrl.Policy { return sched.NewFRFCFS() }); err != nil {
 		t.Fatal(err)
 	}

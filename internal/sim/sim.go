@@ -67,9 +67,11 @@ type Config struct {
 	// cancellation aborts the run with the context's error.
 	Context context.Context
 	// Parallelism bounds the worker goroutines the run loop spreads its
-	// channel shards across: 0 uses GOMAXPROCS, 1 runs shards inline on the
-	// calling goroutine, higher values are clamped to the shard count — so
-	// a lock-step run (Run), which is one shard, always runs inline.
+	// channel shards across: 0 (the default) and 1 run shards inline on the
+	// calling goroutine, higher values start a worker pool clamped to the
+	// shard count — so a lock-step run (Run), which is one shard, always
+	// runs inline. The pool is opt-in because no measured host has shown it
+	// beating inline stepping (DESIGN.md §14).
 	// Results are byte-identical at every setting — the parallel
 	// equivalence tests pin command stream, telemetry and traces against
 	// the sequential path.

@@ -174,9 +174,11 @@ func WithProgress(fn func(Progress)) RunOption {
 
 // WithParallelism bounds the worker goroutines an Independent-channel run
 // (System.ChannelMode) spreads its per-channel shards across: 0 (the
-// default) uses GOMAXPROCS, 1 runs every channel inline on the calling
-// goroutine, and values above the channel count are clamped to it. The
-// setting changes wall-clock speed only — the simulated schedule,
+// default) and 1 run every channel inline on the calling goroutine, 2 or
+// more start a worker pool, and values above the channel count are clamped
+// to it. No measured host has shown the pool beating inline stepping — its
+// per-cycle barrier costs more than a shard step (DESIGN.md §14) — so it is
+// opt-in. The setting changes wall-clock speed only — the simulated schedule,
 // telemetry and traces are byte-identical at every level (pinned by the
 // parallel equivalence tests). Lockstep systems have a single command
 // stream and ignore it. Negative values are reported as an error by
