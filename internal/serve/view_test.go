@@ -22,11 +22,15 @@ import (
 // its cache-hit replay, with the jobs' timestamps pinned. The digests were
 // computed with the encoding/json view encoder (writeJSON with SetIndent
 // for GET, json.Marshal for the SSE done event), so any encoder that
-// reproduces them serves the same bytes. They are not to be regenerated.
+// reproduces them serves the same bytes. They are not to be regenerated
+// for an encoder change; only a deliberate change to the embedded
+// artifacts' bytes moves them (they were last re-pinned when Chrome request
+// spans stopped giving a negative wait_marked to requests serviced before
+// they were marked).
 var goldenJobViewDigests = map[string]string{
-	"get":        "7c904a726e27d7036a9a9ec961e4ee2f4d50aefc3423fcf8ebc3347ecef48bfa",
-	"sse":        "db030782ef056d00277da8d8bd9c5d64b1e73978df8d535376d976633c69383e",
-	"cached_get": "60d1f57cbcbf4515d932c928b5366ccf213715ea00fd55a7ef41e0845fa1d1b1",
+	"get":        "b494a94c2bb7370bc549b1decde428ef63831fbd67b984fe4cae7347630d80f9",
+	"sse":        "b3320d0fdc38f89ce4c16c46309e90ca6af6323fc2d2ec8d86f59abfe3f74a70",
+	"cached_get": "e416cd78bab008a2288c098f25bbd98bc18cd0320099cc602039de4ea9894e09",
 }
 
 // goldenEpoch anchors the pinned job timestamps.

@@ -139,13 +139,16 @@ func WriteChrome(w io.Writer, log *Log) error {
 				prefix = "WR req "
 			}
 			// Wait decomposition in the phases internal/analysis
-			// attributes: unmarked-queued, marked-waiting, service.
+			// attributes: unmarked-queued, marked-waiting, service. A
+			// request serviced before it was marked (swept into a batch
+			// after its first command) has no marked wait: its whole
+			// pre-service wait is unmarked, as analysis counts it.
 			markEnd := r.firstCmd
 			if markEnd < 0 {
 				markEnd = ev.Cycle
 			}
 			waitUnmarked, waitMarked := markEnd-r.arrival, int64(0)
-			if r.marked >= 0 {
+			if r.marked >= 0 && markEnd >= r.marked {
 				waitUnmarked, waitMarked = r.marked-r.arrival, markEnd-r.marked
 			}
 			c.beginNumbered(prefix, ev.Req, "X", 0, ev.Thread, r.arrival)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -78,7 +79,7 @@ func TestGoldenWireMemoryAttack(t *testing.T) {
 	checkDigest(t, "attack JSONL", jsonl,
 		"5d10aa7ff9c164bf64a7ec5f595e1c6677dbd9ed47697dce96a455324b6b033d")
 	checkDigest(t, "attack Chrome", chrome,
-		"ef599909a3d664158d7e0107dd82e2397eb7f8ce5d93b432c321025b31da5d6d")
+		"4269893e77ca750e794d25bc6ae246e674f977d7c6f89ad008f292f12490d8a1")
 	checkDigest(t, "attack cursor", cursorStream(t, cfg.Tracer),
 		"5efe4d9ae73757d8de5fc43308f573fba3097a937fdb96fadfa415800f3ed5ac")
 }
@@ -110,7 +111,7 @@ func TestGoldenWireIndependentChannels(t *testing.T) {
 	checkDigest(t, "independent JSONL", jsonl,
 		"f1978769ce0b522ea44f906478dbb9c8f0344309e14a43f7e4b3eb567cba5bc4")
 	checkDigest(t, "independent Chrome", chrome,
-		"c284d545df523a1544640639a1bae2f1331e3bbd59299250fead95386fb8cd32")
+		"32c73825240b25a04b8ebbe55692a109f6a2e994653a830b90b97c7a8289a5e8")
 	checkDigest(t, "independent cursor", cursorStream(t, cfg.Tracer),
 		"ec7c1dd5c6e248df02045dc297d7c223c464b8b30b0af611eb727107f91691b2")
 }
@@ -153,5 +154,74 @@ func TestGoldenWireHandBuilt(t *testing.T) {
 		"c8854934ff2958f3a23af8fb4c3f40435472d5949382853c76f2fc9d618668a8")
 	if !bytes.Contains(jsonl, []byte(`"per_thread":null`)) || !bytes.Contains(jsonl, []byte(`"per_thread":[]`)) {
 		t.Errorf("hand-built JSONL lacks the null and empty per-thread shapes:\n%s", jsonl)
+	}
+}
+
+// TestChromeWaitsNonNegative renders the lock-step Case Study I run under
+// PAR-BS (parbs-sim -sched PAR-BS -mix CSI) as Chrome trace-event JSON and
+// checks every request span's wait decomposition: no phase is negative and
+// the phases sum to the span. The run must contain requests serviced before
+// they were marked (swept into a batch after their first command), whose
+// pre-service wait is all unmarked — the case that once produced negative
+// marked waits.
+func TestChromeWaitsNonNegative(t *testing.T) {
+	cfg := sim.DefaultConfig(4)
+	cfg.WarmupCPUCycles = 50_000
+	cfg.MeasureCPUCycles = 300_000
+	cfg.Tracer = trace.NewTracer(trace.Config{})
+	pol, err := sched.ByName("PAR-BS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(cfg, workload.CaseStudyI(), pol); err != nil {
+		t.Fatal(err)
+	}
+	log := cfg.Tracer.Log()
+	serviced := map[int64]bool{}
+	markedLate := 0
+	for _, ev := range log.Events {
+		switch ev.Kind {
+		case trace.KindMark:
+			if serviced[ev.Req] {
+				markedLate++
+			}
+		case trace.KindCommand:
+			serviced[ev.Req] = true
+		}
+	}
+	if markedLate == 0 {
+		t.Fatal("no request was marked after its first command; the test is vacuous")
+	}
+	_, chrome := renderings(t, log)
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(chrome, &doc); err != nil {
+		t.Fatal(err)
+	}
+	spans := 0
+	for _, raw := range doc.TraceEvents {
+		// Request spans carry only integer arguments; other events are
+		// skipped before decoding into this shape.
+		if !bytes.Contains(raw, []byte(`"cat":"request"`)) {
+			continue
+		}
+		var span struct {
+			Name string           `json:"name"`
+			Dur  int64            `json:"dur"`
+			Args map[string]int64 `json:"args"`
+		}
+		if err := json.Unmarshal(raw, &span); err != nil {
+			t.Fatal(err)
+		}
+		spans++
+		unmarked, markedWait, service := span.Args["wait_unmarked"], span.Args["wait_marked"], span.Args["service"]
+		if unmarked < 0 || markedWait < 0 || service < 0 || unmarked+markedWait+service != span.Dur {
+			t.Fatalf("%s: wait_unmarked %d + wait_marked %d + service %d, span %d: a phase is negative or they do not sum",
+				span.Name, unmarked, markedWait, service, span.Dur)
+		}
+	}
+	if spans == 0 {
+		t.Fatal("no request spans rendered")
 	}
 }

@@ -287,6 +287,8 @@ func oracleWriteChrome(w io.Writer, log *Log) error {
 			}
 			if r.marked >= 0 {
 				args["batch"] = r.batch
+			}
+			if r.marked >= 0 && markEnd >= r.marked {
 				args["wait_unmarked"] = r.marked - r.arrival
 				args["wait_marked"] = markEnd - r.marked
 			} else {
