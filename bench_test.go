@@ -102,20 +102,20 @@ func BenchmarkSimulatedCyclesPerSecondTicked(b *testing.B) {
 
 // BenchmarkIdleSingleCore measures the next-event clock on two single-core
 // extremes, each against a ForceTicked companion that evaluates every
-// DRAM cycle. The clock may only jump when every core is memory-blocked
-// (a compute-busy core needs evaluation each cycle), so the two workloads
+// DRAM cycle. The clock jumps to the earliest cycle at which a core could
+// call the memory port (its Horizon, or its wake bound when it is
+// memory-blocked) or a controller has an event, so the two workloads
 // bound its range:
 //
 //   - povray (0.03 MPKI): DRAM is idle for thousands of cycles between
-//     requests, but the core is compute-bound and almost never blocks —
-//     skip rate is under 1% and the residual win is controller-tick
-//     elision, not cycle jumping.
+//     requests and the compute-bound core streams long non-memory runs, so
+//     the clock jumps from one access to the next (over 99% of cycles
+//     skipped).
 //   - matlab (78 MPKI stream): the core is memory-stalled most of the
-//     time, so the clock jumps across the known DRAM-latency intervals —
-//     the skip-rate win the event clock was built for.
+//     time, so the clock jumps across the known DRAM-latency intervals.
 //
-// BENCH_4.json records both ratios; the saturated 4-core numbers are in
-// BENCH_2.json.
+// BENCH_9.json records both before and after the core horizon (BENCH_4.json
+// has the older ratios); the saturated 4-core numbers are in BENCH_2.json.
 func BenchmarkIdleSingleCore(b *testing.B) {
 	for _, wl := range []string{"povray", "matlab"} {
 		for _, bc := range []struct {

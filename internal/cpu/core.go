@@ -220,6 +220,15 @@ type Core struct {
 	// port call rejected (read buffer or write buffer full). See
 	// BlockedOnPort.
 	portStalled bool
+	// tickEnd is the CPU cycle the last Tick call ended at (see Horizon).
+	tickEnd int64
+	// fetched counts every instruction ever fetched into the window, so
+	// fetched−windowCount is the count ever committed. stores is a FIFO ring
+	// of sLen entries starting at sHead holding, for each store in the
+	// window, oldest first, the value fetched had when the store entered.
+	fetched     int64
+	stores      []int64
+	sHead, sLen int
 }
 
 type completion struct {
@@ -239,6 +248,7 @@ func NewCore(id int, cfg Config, trace TraceSource, port MemPort) (*Core, error)
 		port:        port,
 		window:      make([]entry, cfg.WindowSize),
 		completions: make([]completion, cfg.MSHRs),
+		stores:      make([]int64, cfg.WindowSize),
 	}, nil
 }
 
@@ -319,7 +329,9 @@ func (c *Core) Complete(req *memctrl.Request, at int64) {
 }
 
 // Tick simulates CPU cycles [start, start+n). The sim layer calls it once
-// per DRAM cycle with the CPU:DRAM clock ratio.
+// per evaluated DRAM cycle with the CPU:DRAM clock ratio, or once for a
+// longer span it deferred because the core was port-quiet over it (see
+// Horizon and BlockedUntil); both step the same cycles.
 //
 // Stalled cycles are fast-forwarded: within one Tick call nothing outside
 // the core can change (the controller ticks only after every core has, and
@@ -336,6 +348,7 @@ func (c *Core) Tick(start int64, n int) {
 	end := start + int64(n)
 	c.blockedUntil = 0
 	c.portStalled = false
+	c.tickEnd = end
 	for cyc := start; cyc < end; cyc++ {
 		if k := c.stream(cyc, end); k > 0 {
 			cyc += k - 1
@@ -467,9 +480,10 @@ func (c *Core) stream(cyc, end int64) int64 {
 }
 
 // BlockedUntil reports the core's stall bound after its last Tick call: 0
-// when the core was still making progress (it must be ticked every cycle),
-// otherwise a CPU cycle strictly before which the core is guaranteed to do
-// nothing — no commits, no fetches, and in particular no memory-port calls.
+// when the core was still making progress (then only Horizon bounds its
+// next port call), otherwise a CPU cycle strictly before which the core is
+// guaranteed to do nothing — no commits, no fetches, and in particular no
+// memory-port calls.
 // Completions queued by the controller after the Tick (via Complete) lower
 // the bound, so the returned value stays safe across the tick/controller
 // ordering within one DRAM cycle. math.MaxInt64 means the core can only be
@@ -486,6 +500,26 @@ func (c *Core) BlockedUntil() int64 {
 		}
 	}
 	return b
+}
+
+// Horizon reports the first CPU cycle, at or after the end of the last Tick
+// call, at which the core could call the memory port. Fetch takes at most
+// CommitWidth instructions a cycle, so the current item's access cannot
+// issue before its NonMem run is fetched; commit retires at most CommitWidth
+// a cycle, so no store reaches the port before the instructions ahead of the
+// oldest one have committed. Both hold however fast loads complete, so
+// completions queued after the Tick cannot move the horizon earlier; with no
+// item in flight the next fetch may start with an access, and the horizon
+// is the Tick's end.
+func (c *Core) Horizon() int64 {
+	if !c.fetchPending {
+		return c.tickEnd
+	}
+	ahead := c.fetchItem.NonMem
+	if c.sLen > 0 {
+		ahead = min(ahead, c.stores[c.sHead]-(c.fetched-int64(c.windowCount)))
+	}
+	return c.tickEnd + ahead/int64(c.cfg.CommitWidth)
 }
 
 // BlockedOnPort reports whether any cycle of the last Tick call had a memory
@@ -565,8 +599,15 @@ func (c *Core) fetch() {
 			return
 		}
 		if it.Access.IsWrite {
+			slot := c.sHead + c.sLen
+			if slot >= len(c.stores) {
+				slot -= len(c.stores)
+			}
+			c.stores[slot] = c.fetched
+			c.sLen++
 			c.pushEntry(entry{kind: entryStore, addr: it.Access.Addr})
 			c.windowCount++
+			c.fetched++
 		} else {
 			if c.outstanding >= c.cfg.MSHRs {
 				return // no MSHR: fetch stalls
@@ -584,6 +625,7 @@ func (c *Core) fetch() {
 			}
 			c.pushEntry(entry{kind: entryLoad, addr: it.Access.Addr, bank: it.Access.Bank, pending: true, issued: true})
 			c.windowCount++
+			c.fetched++
 			c.outstanding++
 			c.bankDelta(it.Access.Bank, 1)
 			c.stats.LoadsIssued++
@@ -597,6 +639,7 @@ func (c *Core) fetch() {
 // appendNonMem adds a run of non-memory instructions, merging with the tail
 // entry when possible to keep the window compact.
 func (c *Core) appendNonMem(n int64) {
+	c.fetched += n
 	if tail := c.tail(); tail != nil && tail.kind == entryNonMem {
 		tail.count += n
 		c.windowCount += int(n)
@@ -648,6 +691,10 @@ func (c *Core) commit(cyc int64) {
 				return
 			}
 			c.stats.WritesIssued++
+			if c.sHead++; c.sHead == len(c.stores) {
+				c.sHead = 0
+			}
+			c.sLen--
 			c.popHead()
 			c.windowCount--
 			c.stats.Instructions++

@@ -12,7 +12,10 @@ import (
 // cyclic trace, a port rejection pattern, read latencies and a sequence of
 // Tick spans. runScript plays it on a Core stepped by Tick and on one
 // stepped by the per-cycle oracle (refTick), and fails on the first call
-// after which the two differ in any field or in the port calls they made.
+// after which the two differ in any field or in the port calls they made,
+// or after which the oracle calls the port before the bound the run loop
+// gates the core on: its Horizon, raised to its live BlockedUntil unless
+// the call was BlockedOnPort.
 //
 // Layout (missing bytes read as zero):
 //
@@ -66,10 +69,12 @@ type portCall struct {
 }
 
 // scriptPort accepts or rejects each call by the script's pattern and logs
-// every call.
+// every call, and the CPU cycle of each call made by the oracle.
 type scriptPort struct {
 	rejects []byte
 	calls   []portCall
+	now     int64
+	at      []int64
 	// accepted holds the reads accepted since the harness last drained it.
 	accepted []*memctrl.Request
 	nextID   int64
@@ -85,6 +90,7 @@ func (p *scriptPort) decide() bool {
 func (p *scriptPort) IssueRead(thread int, addr int64, tag int) bool {
 	ok := p.decide()
 	p.calls = append(p.calls, portCall{thread: thread, addr: addr, tag: tag, ok: ok})
+	p.at = append(p.at, p.now)
 	if ok {
 		p.accepted = append(p.accepted, &memctrl.Request{ID: p.nextID, Thread: thread, Addr: addr, Tag: tag})
 		p.nextID++
@@ -95,6 +101,7 @@ func (p *scriptPort) IssueRead(thread int, addr int64, tag int) bool {
 func (p *scriptPort) IssueWrite(thread int, addr int64) bool {
 	ok := p.decide()
 	p.calls = append(p.calls, portCall{write: true, thread: thread, addr: addr, ok: ok})
+	p.at = append(p.at, p.now)
 	return ok
 }
 
@@ -171,6 +178,7 @@ func runScript(t testing.TB, script []byte) {
 	got, want := cores[0], cores[1]
 	reads := 0
 	cyc := int64(0)
+	quiet := int64(0) // the core's port-quiet bound after its last Tick
 	for i, b := range spans {
 		if b >= 240 {
 			cyc += 3 * int64(b-239)
@@ -178,7 +186,14 @@ func runScript(t testing.TB, script []byte) {
 		}
 		n := 1 + int(b%40)
 		got.Tick(cyc, n)
+		calls := len(ports[1].calls)
 		want.refTick(cyc, n)
+		for j, at := range ports[1].at[calls:] {
+			if at < quiet {
+				t.Fatalf("script %x, cfg %+v: in span %d (Tick(%d, %d)) the oracle made port call %+v at cycle %d, before the published bound %d",
+					script, cfg, i, cyc, n, ports[1].calls[calls+j], at, quiet)
+			}
+		}
 		cyc += int64(n)
 		if !reflect.DeepEqual(stateOf(got), stateOf(want)) || traces[0].reads != traces[1].reads ||
 			!reflect.DeepEqual(ports[0].calls, ports[1].calls) {
@@ -198,6 +213,10 @@ func runScript(t testing.TB, script []byte) {
 			want.Complete(ports[1].accepted[j], cyc+int64(lat))
 		}
 		ports[0].accepted, ports[1].accepted = ports[0].accepted[:0], ports[1].accepted[:0]
+		quiet = got.Horizon()
+		if !got.BlockedOnPort() {
+			quiet = max(quiet, got.BlockedUntil())
+		}
 	}
 }
 

@@ -21,6 +21,9 @@ func (c *Core) refTick(start int64, n int) {
 		memStall := c.stats.MemStallCycles
 		storeStall := c.stats.StoreStallCycles
 
+		if p, ok := c.port.(*scriptPort); ok {
+			p.now = cyc
+		}
 		c.refDeliver(cyc)
 		c.refFetch()
 		c.refCommit()

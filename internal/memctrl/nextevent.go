@@ -21,9 +21,11 @@ import (
 // the clock to advance cycle by cycle. math.MaxInt64 means "no self-driven
 // events".
 //
-// Policies that accrue state every cycle (STFM's stall clocks) must NOT
-// implement this interface; the controller then reports now+1 from
-// NextEventAt and the run degenerates to the legacy ticked loop, which is
+// A policy whose state moves every cycle must settle that motion in closed
+// form before it can implement this interface — STFM accrues its stall
+// clocks over the elided cycles at its next OnCycle or OnEnqueue. A policy
+// that does not implement it (a custom scheduler) gets now+1 from
+// NextEventAt, and its runs degenerate to the legacy ticked loop, which is
 // always correct.
 type NextEventer interface {
 	NextPolicyEventAt(now int64) int64

@@ -23,7 +23,10 @@ import (
 // in both papers):
 //
 //   - Tshared accrues one cycle for every DRAM cycle in which the thread
-//     has at least one buffered read (the thread is memory-stalled).
+//     has at least one buffered read (the thread is memory-stalled). The
+//     accrual is settled in closed form over the cycles the next-event
+//     clock elides (see accrue), so STFM is a memctrl.NextEventer whose
+//     only self-driven event is counter ageing.
 //   - Talone = Tshared - TInterference. Interference accrues when a command
 //     is issued for another thread: threads waiting on the same bank are
 //     charged the command's duration, and threads waiting on other banks
@@ -55,6 +58,8 @@ type STFM struct {
 	slowest    int
 	burst      int64
 	nextAgeing int64
+	// last is the cycle through which shared has accrued.
+	last int64
 	// epoch versions the (unfair, slowest) decision for the controller's
 	// candidate cache; see OrderEpoch.
 	epoch uint64
@@ -90,10 +95,59 @@ func (s *STFM) OnAttach(c *memctrl.Controller) {
 	s.interference = make([]float64, threads)
 	s.burst = c.Device().BurstCycles()
 	s.nextAgeing = s.IntervalLength
+	s.last = -1
 }
 
-// OnEnqueue implements memctrl.Policy.
-func (s *STFM) OnEnqueue(*memctrl.Request, int64) {}
+// OnEnqueue settles the stall clocks through the cycle before the request
+// arrived, over which the reader set was the one before the enqueue: the
+// controller has already counted the request, so its thread is left out
+// if this is its only buffered read.
+func (s *STFM) OnEnqueue(r *memctrl.Request, now int64) {
+	newcomer := -1
+	if s.ctrl.ReadsPerThread(r.Thread) == 1 {
+		newcomer = r.Thread
+	}
+	s.accrue(now-1, newcomer)
+}
+
+// accrue advances the shared stall clock of every thread with a buffered
+// read, except skip, through cycle `to`: the cycles (last, to], none of
+// which saw a command issue or an enqueue (the controller ticks, and so
+// calls OnCycle, on every cycle with an issue; OnEnqueue settles before an
+// enqueue), so the reader set was constant over them.
+func (s *STFM) accrue(to int64, skip int) {
+	k := to - s.last
+	if k <= 0 {
+		return
+	}
+	s.last = to
+	for w, word := range s.ctrl.ThreadsWithReads() {
+		for ; word != 0; word &= word - 1 {
+			if th := w<<6 | bits.TrailingZeros64(word); th != skip {
+				s.shared[th] = addCycles(s.shared[th], k)
+			}
+		}
+	}
+}
+
+// addCycles returns x after k per-cycle increments by one. The closed form
+// x+k rounds once where the steps may round k times, so it is used only when
+// it is exact and below 2^53: then every partial sum is exact too (each has
+// x's fractional bits and a magnitude no larger than the total), and the
+// steps agree with it bit for bit. Fast2Sum's error term decides exactness.
+func addCycles(x float64, k int64) float64 {
+	a, b := x, float64(k)
+	if a < b {
+		a, b = b, a
+	}
+	if y := a + b; y < 1<<53 && y-a == b {
+		return y
+	}
+	for ; k > 0; k-- {
+		x++
+	}
+	return x
+}
 
 // OnIssue charges interference to the threads delayed by this command.
 func (s *STFM) OnIssue(c memctrl.Candidate, now int64) {
@@ -146,13 +200,10 @@ func (s *STFM) blpEstimate(thread int) int {
 func (s *STFM) OnComplete(*memctrl.Request, int64) {}
 
 // OnCycle accrues stall time, ages counters, and refreshes the fairness
-// mode decision.
+// mode decision. Ageing is a self-driven event (NextPolicyEventAt), so the
+// elided cycles accrued here never straddle it.
 func (s *STFM) OnCycle(now int64) {
-	for th := range s.shared {
-		if s.ctrl.ReadsPerThread(th) > 0 {
-			s.shared[th]++
-		}
-	}
+	s.accrue(now, -1)
 	if now >= s.nextAgeing {
 		for th := range s.shared {
 			s.shared[th] /= 2
@@ -179,12 +230,23 @@ func (s *STFM) OnCycle(now int64) {
 	s.unfair, s.slowest = unfair, slowest
 }
 
+// NextPolicyEventAt implements memctrl.NextEventer: counter ageing is the
+// only change STFM makes on its own. Its stall clocks move every cycle but
+// are settled in closed form (accrue), and the (unfair, slowest) pair they
+// feed is re-derived at every real tick.
+func (s *STFM) NextPolicyEventAt(int64) int64 { return s.nextAgeing }
+
 // OrderEpoch implements memctrl.EpochedPolicy. Better depends on exactly
 // two pieces of policy state — the fairness-mode flag and, when it is set,
 // the identity of the slowest thread — and OnCycle bumps the epoch whenever
 // that pair changes. Everything else Better reads (row-hit status, request
-// ID) is invariant between bank events. STFM is not a NextEventer, so
-// OnCycle runs on every cycle and no decision change can be skipped over.
+// ID) is invariant between bank events. The pair is a function of the
+// current clocks alone and no scan runs on a cycle the next-event clock
+// elides, so re-deriving it at the next real tick gives every scan the pair
+// per-cycle OnCycle calls would have; a change and change-back inside an
+// elided span bumps the epoch less often, which only spares cache rebuilds.
+// Between real ticks the pair stays the one the current epoch stands for,
+// so enqueue-time cache comparisons are stored under the right epoch.
 func (s *STFM) OrderEpoch() uint64 { return s.epoch }
 
 // Slowdown returns the thread's estimated weighted memory slowdown.
