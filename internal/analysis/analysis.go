@@ -184,18 +184,3 @@ func Ingest(r io.Reader) (*Store, error) {
 		s.append(ev, pt)
 	}
 }
-
-// ToLog materializes the store back into a trace.Log — the bridge to the
-// trace package's renderers (WriteJSONL, WriteChrome).
-func (s *Store) ToLog() *trace.Log {
-	log := &trace.Log{Meta: s.meta, Dropped: s.dropped,
-		Events: make([]trace.Event, len(s.kind)), BatchPerThread: s.batchPT}
-	for i := range s.kind {
-		log.Events[i] = trace.Event{
-			Kind: trace.Kind(s.kind[i]), Cycle: s.cycle[i], Req: s.req[i],
-			Row: s.row[i], Thread: s.thread[i], Bank: s.bank[i],
-			Rank: s.rank[i], Channel: s.channel[i], Cmd: s.cmd[i], Write: s.write[i],
-		}
-	}
-	return log
-}

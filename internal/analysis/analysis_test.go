@@ -216,21 +216,42 @@ func TestIngestTruncatedStream(t *testing.T) {
 	}
 }
 
-func TestToLogRoundTrip(t *testing.T) {
+// TestFromLogSnapshotRoundTrip takes a log through FromLog, a snapshot and
+// ReadSnapshot: the store read back holds every event of the log, column by
+// column, writes the same snapshot bytes again, and audits the same run.
+func TestFromLogSnapshotRoundTrip(t *testing.T) {
 	log := fixtureLog()
-	back := FromLog(log).ToLog()
-	if len(back.Events) != len(log.Events) {
-		t.Fatalf("round trip lost events: %d vs %d", len(back.Events), len(log.Events))
+	var first bytes.Buffer
+	if err := FromLog(log).WriteSnapshot(&first); err != nil {
+		t.Fatal(err)
 	}
-	for i := range back.Events {
-		if back.Events[i] != log.Events[i] {
-			t.Errorf("event %d = %+v, want %+v", i, back.Events[i], log.Events[i])
+	back, err := ReadSnapshot(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Events() != len(log.Events) {
+		t.Fatalf("round trip lost events: %d vs %d", back.Events(), len(log.Events))
+	}
+	for i, want := range log.Events {
+		got := trace.Event{
+			Kind: trace.Kind(back.kind[i]), Cycle: back.cycle[i], Req: back.req[i],
+			Row: back.row[i], Thread: back.thread[i], Bank: back.bank[i],
+			Rank: back.rank[i], Channel: back.channel[i], Cmd: back.cmd[i], Write: back.write[i],
+		}
+		if got != want {
+			t.Errorf("event %d = %+v, want %+v", i, got, want)
 		}
 	}
-	// A store rebuilt from the bridged log audits the same run.
-	a := FromLog(back).Audit()
+	var second bytes.Buffer
+	if err := back.WriteSnapshot(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(second.Bytes(), first.Bytes()) {
+		t.Error("the store read back writes a different snapshot")
+	}
+	a := back.Audit()
 	if a.Requests != 2 || a.Batches != 1 || a.MaxBatchSpan != 200 {
-		t.Errorf("audit over ToLog: requests=%d batches=%d max span=%d, want 2/1/200",
+		t.Errorf("audit over the read-back store: requests=%d batches=%d max span=%d, want 2/1/200",
 			a.Requests, a.Batches, a.MaxBatchSpan)
 	}
 }

@@ -3,6 +3,8 @@ package trace_test
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -12,9 +14,9 @@ import (
 )
 
 // oracleIngest is analysis.Ingest rebuilt on the reflective decoder: the
-// same line splitting and limits, the header through trace.ParseHeader,
-// and the first undecodable or overlong line ending the stream as an
-// ingest tear.
+// same line splitting and limits, the header through trace.ParseHeader and
+// held to the same analyzable run shape, and the first undecodable or
+// overlong line ending the stream as an ingest tear.
 func oracleIngest(raw []byte) (log *trace.Log, ingestTruncated bool, err error) {
 	sc := bufio.NewScanner(bytes.NewReader(raw))
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -27,6 +29,10 @@ func oracleIngest(raw []byte) (log *trace.Log, ingestTruncated bool, err error) 
 	meta, dropped, _, err := trace.ParseHeader(sc.Bytes())
 	if err != nil {
 		return nil, false, err
+	}
+	channels, banks := max(meta.Channels, 1), max(meta.Banks, 1)
+	if meta.Cores > trace.MaxCores || channels > trace.MaxBanks || banks > trace.MaxBanks || channels*banks > trace.MaxBanks {
+		return nil, false, errors.New("run shape too large to analyze")
 	}
 	log = &trace.Log{Meta: meta, Dropped: dropped}
 	for sc.Scan() {
@@ -49,7 +55,10 @@ func oracleIngest(raw []byte) (log *trace.Log, ingestTruncated bool, err error) 
 }
 
 // FuzzIngestJSONL: analysis.Ingest never panics and builds the store the
-// oracle ingest builds, Truncated and IngestTruncated flags included.
+// oracle ingest builds, Truncated and IngestTruncated flags included: the
+// flags are checked first, then the store's snapshot must equal that of
+// analysis.FromLog over the oracle's log — header fields other than the
+// flags (which FromLog cannot set for a torn log) and every column byte.
 func FuzzIngestJSONL(f *testing.F) {
 	tr := trace.NewTracer(trace.Config{})
 	tr.Bind(trace.Meta{Policy: "PAR-BS", Workload: "seed", Cores: 2, Banks: 2,
@@ -86,17 +95,34 @@ func FuzzIngestJSONL(f *testing.F) {
 			t.Fatalf("truncated=%v ingestTruncated=%v, oracle torn=%v dropped=%d",
 				store.Truncated(), store.IngestTruncated(), wantTorn, want.Dropped)
 		}
-		got := store.ToLog()
-		if len(got.Events) != len(want.Events) {
-			t.Fatalf("%d events, oracle %d", len(got.Events), len(want.Events))
+		gotHdr, gotBody := snapshotParts(t, store)
+		wantHdr, wantBody := snapshotParts(t, analysis.FromLog(want))
+		if !reflect.DeepEqual(gotHdr, wantHdr) {
+			t.Fatalf("snapshot header %v, oracle %v", gotHdr, wantHdr)
 		}
-		for i := range got.Events {
-			if got.Events[i] != want.Events[i] {
-				t.Fatalf("event %d: %+v, oracle %+v", i, got.Events[i], want.Events[i])
-			}
-		}
-		if !reflect.DeepEqual(got.BatchPerThread, want.BatchPerThread) {
-			t.Fatalf("batch shapes %v, oracle %v", got.BatchPerThread, want.BatchPerThread)
+		if !bytes.Equal(gotBody, wantBody) {
+			t.Fatalf("snapshot columns differ from the oracle's (%d events, oracle %d)", store.Events(), len(want.Events))
 		}
 	})
+}
+
+// snapshotParts splits a store's parbs.analysis snapshot — magic line,
+// little-endian header length, JSON header, checksummed columns — into the
+// decoded header without its truncation flags and the column bytes.
+func snapshotParts(t *testing.T, s *analysis.Store) (map[string]any, []byte) {
+	t.Helper()
+	var b bytes.Buffer
+	if err := s.WriteSnapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	raw := b.Bytes()
+	start := bytes.IndexByte(raw, '\n') + 1
+	end := start + 4 + int(binary.LittleEndian.Uint32(raw[start:]))
+	var hdr map[string]any
+	if err := json.Unmarshal(raw[start+4:end], &hdr); err != nil {
+		t.Fatal(err)
+	}
+	delete(hdr, "truncated")
+	delete(hdr, "ingest_truncated")
+	return hdr, raw[end:]
 }
