@@ -81,7 +81,7 @@ cat > BENCH_3.json <<EOF
   "parallel": "Parallelism 4 (one worker goroutine per channel shard, per-cycle barrier)",
   "speedup": $speedup,
   "gomaxprocs": $(nproc),
-  "note": "Both columns simulate the byte-identical schedule (pinned by TestParallelSequentialEquivalence); the gap is pure wall-clock. The speedup scales with available cores up to the channel count: on a >=4-core machine the 4 shards run concurrently and the parallel column targets >=2x the sequential one. With GOMAXPROCS=1 (single-CPU CI runners) the worker goroutines time-share one core and the per-cycle barrier is pure overhead, so the parallel column degrades below sequential -- use WithParallelism(1) or the Parallelism=0 GOMAXPROCS default, which picks 1 worker there.",
+  "note": "Both columns simulate the byte-identical schedule (pinned by TestParallelSequentialEquivalence); the gap is pure wall-clock. The speedup scales with available cores up to the channel count: on a >=4-core machine the 4 shards run concurrently and the parallel column targets >=2x the sequential one. With GOMAXPROCS=1 (single-CPU CI runners) the worker goroutines time-share one core and the per-cycle barrier is pure overhead, so the parallel column degrades below sequential -- use WithParallelism(1) or leave Parallelism at 0, which steps every shard inline with no worker pool.",
   "benchtime": "$benchtime"
 }
 EOF
@@ -132,7 +132,7 @@ cat > BENCH_4.json <<EOF
     }
   ],
   "baseline": "Config.ForceTicked (every DRAM cycle evaluated)",
-  "note": "Honest result: the next-event clock may only jump when every core is memory-blocked, so a DRAM-idle but compute-bound core (povray) skips under 1% of cycles and its modest win comes from controller-tick elision, not cycle jumping. The clock's real win is on memory-stalled cores (matlab: ~70% of cycles skipped across known DRAM-latency intervals). 'Idle DRAM' and 'skippable cycles' are different things in a cycle-coupled CPU+DRAM model.",
+  "note": "The next-event clock jumps to the earliest cycle at which a core could call the memory port (its horizon: the current item's non-memory run or the instructions ahead of its oldest store, fetched and committed at full width) or a controller has an event, so a DRAM-idle compute-bound core (povray) skips nearly every cycle and a memory-stalled stream (matlab) skips the known DRAM-latency intervals. The committed BENCH_4.json predates the core horizon (povray then skipped under 1%); BENCH_9.json records the change.",
   "benchtime": "$benchtime"
 }
 EOF
