@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench serve serve-smoke trace-smoke analyze-smoke check ci
+.PHONY: all build vet test race bench-smoke serve serve-smoke trace-smoke analyze-smoke check ci
 
 all: check
 
@@ -19,16 +19,10 @@ race:
 # Short re-measurement of the engine benchmark, failing on a >20%
 # DRAMcycles/s regression vs the floor checked in via BENCH_5.json, plus
 # one-iteration breakage checks of the PolicyDecision benchmarks and the
-# sequential/parallel Independent-channel engine.
+# Independent-channel engine. BENCH_1.json–BENCH_5.json are frozen records;
+# end-to-end and per-layer measurements come from benchmark/run.sh.
 bench-smoke:
 	scripts/bench_smoke.sh
-
-# Full measurement; rewrites BENCH_5.json (scheduler fast path), BENCH_3.json
-# (sequential vs parallel sharded channels) and BENCH_4.json (idle-workload
-# clock extremes) with fresh numbers (BENCH_1.json and BENCH_2.json are
-# frozen artifacts of the bank-index rewrite and the next-event clock).
-bench:
-	scripts/bench.sh
 
 # Run the simulation service locally (Ctrl-C drains gracefully).
 serve:

@@ -146,37 +146,28 @@ func BenchmarkIdleSingleCore(b *testing.B) {
 }
 
 // BenchmarkIndependentChannels measures the sharded Independent-channel
-// engine on the paper's largest configuration (16 cores, 4 channels),
-// sequential (Parallelism 1) vs parallel (Parallelism 4). The simulated
-// schedule is byte-identical in both; the gap is pure wall-clock win from
-// spreading the per-channel shards across worker goroutines, and collapses
-// to barrier overhead when GOMAXPROCS is 1.
+// engine on the paper's largest configuration (16 cores, 4 channels), its
+// shards stepped inline in channel order.
 func BenchmarkIndependentChannels(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		par  int
-	}{{"sequential", 1}, {"parallel-4", 4}} {
-		b.Run(bc.name, func(b *testing.B) {
-			cfg := sim.DefaultConfig(16)
-			cfg.WarmupCPUCycles = 0
-			cfg.MeasureCPUCycles = 500_000
-			cfg.Geometry.Channels = 4
-			cfg.Parallelism = bc.par
-			mix := workload.RandomMixes(1, 16, 1)[0]
-			b.ResetTimer()
-			var cycles int64
-			for i := 0; i < b.N; i++ {
-				res, err := sim.RunIndependent(cfg, mix, func() memctrl.Policy {
-					return sched.NewPARBSDefault()
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += res.DRAMCycles
+	b.Run("sequential", func(b *testing.B) {
+		cfg := sim.DefaultConfig(16)
+		cfg.WarmupCPUCycles = 0
+		cfg.MeasureCPUCycles = 500_000
+		cfg.Geometry.Channels = 4
+		mix := workload.RandomMixes(1, 16, 1)[0]
+		b.ResetTimer()
+		var cycles int64
+		for i := 0; i < b.N; i++ {
+			res, err := sim.RunIndependent(cfg, mix, func() memctrl.Policy {
+				return sched.NewPARBSDefault()
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "DRAMcycles/s")
-		})
-	}
+			cycles += res.DRAMCycles
+		}
+		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "DRAMcycles/s")
+	})
 }
 
 // BenchmarkSchedulers compares per-run cost of each policy.

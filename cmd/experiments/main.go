@@ -33,7 +33,6 @@ func main() {
 		jsonOut = flag.Bool("json", false, "also write <ID>.json artifacts under -out")
 		seed    = flag.Int64("seed", 1, "workload construction seed")
 		list    = flag.Bool("list", false, "list experiment IDs and exit")
-		par     = flag.Int("parallelism", 0, "worker goroutines for independent-channel runs (0 or 1 = sequential; results identical)")
 	)
 	flag.Parse()
 
@@ -74,13 +73,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *par < 0 {
-		fatal(fmt.Errorf("-parallelism needs a non-negative worker count, got %d", *par))
-	}
 	x := exp.NewContext(*quick)
 	x.Seed = *seed
 	x.Ctx = ctx
-	x.Parallelism = *par
 	completed := 0
 	for _, e := range selected {
 		if ctx.Err() != nil {

@@ -54,7 +54,6 @@ func main() {
 		ticked    = flag.Bool("ticked", false, "force the legacy one-cycle-per-iteration run loop (disables next-event cycle skipping)")
 		channels  = flag.Int("channels", 0, "DRAM channels (0 scales with cores as in the paper: 1/2/4 for 4/8/16)")
 		chanMode  = flag.String("channel-mode", "", "channel organization: "+strings.Join(parbs.ChannelModeNames(), ", ")+" (default lockstep, the paper's ganged organization)")
-		par       = flag.Int("parallelism", 0, "worker goroutines for -channel-mode independent (0 or 1 = sequential, 2+ = worker pool; results are identical either way)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run (pprof format) to this file")
 		memProf   = flag.String("memprofile", "", "write an end-of-run heap profile (pprof format) to this file")
 	)
@@ -110,13 +109,9 @@ func main() {
 	if err := sys.Validate(); err != nil {
 		fatal(err)
 	}
-	if *par < 0 {
-		fatal(fmt.Errorf("-parallelism needs a non-negative worker count, got %d", *par))
-	}
 	if *channels > 0 {
 		cfg.Geometry.Channels = *channels
 	}
-	cfg.Parallelism = *par
 	var tl *memctrl.Timeline
 	if *timeline > 0 {
 		tl = memctrl.NewTimeline(cfg.Geometry.Banks)

@@ -46,12 +46,7 @@ type CustomPolicy struct {
 //
 // On an Independent-channel system each channel wraps the same CustomPolicy
 // in its own adapter, so the Less/OnEnqueue/OnComplete functions see
-// requests from every channel. With WithParallelism above 1 those calls
-// arrive concurrently from worker goroutines: a policy whose functions
-// close over shared mutable state must either synchronize it or be run
-// with WithParallelism(1) — and any cross-channel state makes the schedule
-// depend on channel interleaving, forfeiting the library's determinism
-// guarantee. Pure functions of their arguments are always safe.
+// requests from every channel, one channel at a time in channel order.
 func NewCustomScheduler(p CustomPolicy) (Scheduler, error) {
 	if p.Name == "" {
 		return Scheduler{}, fmt.Errorf("parbs: custom policy needs a name")

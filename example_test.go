@@ -63,9 +63,7 @@ func ExampleSchedulerByName() {
 }
 
 // ExampleSystem_channelMode runs the same workload on an Independent-
-// channel system — one scheduler per channel — spread across parallel
-// worker goroutines. The schedule is byte-identical at every parallelism
-// level, so WithParallelism only changes wall-clock speed.
+// channel system — one scheduler per channel.
 func ExampleSystem_channelMode() {
 	w, err := parbs.WorkloadFromNames("lbm", "lbm", "lbm", "lbm",
 		"mcf", "mcf", "libquantum", "libquantum")
@@ -76,37 +74,12 @@ func ExampleSystem_channelMode() {
 	sys.Channels = 2
 	sys.ChannelMode = parbs.Independent
 	report, err := parbs.RunContext(context.Background(), sys, w,
-		parbs.NewPARBS(parbs.PARBSOptions{}), parbs.WithParallelism(2))
+		parbs.NewPARBS(parbs.PARBSOptions{}))
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println(report.Scheduler, len(report.Threads), "threads")
 	// Output: PAR-BS x2-independent 8 threads
-}
-
-// ExampleWithParallelism shows that sequential and parallel execution of
-// an Independent-channel system agree exactly.
-func ExampleWithParallelism() {
-	w, err := parbs.WorkloadFromNames("lbm", "lbm", "lbm", "lbm")
-	if err != nil {
-		panic(err)
-	}
-	sys := speedySystem(4)
-	sys.Channels = 2
-	sys.ChannelMode = parbs.Independent
-	sequential, err := parbs.RunContext(context.Background(), sys, w,
-		parbs.NewFRFCFS(), parbs.WithParallelism(1))
-	if err != nil {
-		panic(err)
-	}
-	parallel, err := parbs.RunContext(context.Background(), sys, w,
-		parbs.NewFRFCFS(), parbs.WithParallelism(2))
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(sequential.Unfairness == parallel.Unfairness,
-		sequential.WeightedSpeedup == parallel.WeightedSpeedup)
-	// Output: true true
 }
 
 // ExampleSystem_Validate shows the descriptive configuration errors.

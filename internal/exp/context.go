@@ -25,10 +25,6 @@ type Context struct {
 	// their next epoch checkpoint. Nil means no cancellation (and keeps
 	// the simulator's zero-overhead no-checkpoint fast path).
 	Ctx context.Context
-	// Parallelism bounds the worker goroutines of Independent-channel runs
-	// (the X8 channel-organization experiment): 0 or 1 = sequential, 2 or
-	// more = a worker pool. Results are byte-identical either way.
-	Parallelism int
 
 	mu    sync.Mutex
 	alone map[aloneKey]metrics.ThreadOutcome
@@ -50,7 +46,6 @@ func (x *Context) Config(cores int) sim.Config {
 	cfg := sim.DefaultConfig(cores)
 	cfg.Seed = x.Seed
 	cfg.Context = x.Ctx
-	cfg.Parallelism = x.Parallelism
 	if x.Quick {
 		cfg.WarmupCPUCycles = 50_000
 		cfg.MeasureCPUCycles = 500_000

@@ -344,9 +344,8 @@ type CommandEvent struct {
 func (c *Controller) SetCommandLog(fn func(CommandEvent)) { c.cmdLog = fn }
 
 // LatencyObserver receives per-read service latencies from the retire
-// path. *telemetry.Probe and *telemetry.Collector both satisfy it; the
-// interface keeps the controller agnostic of which one a run attaches
-// (sharded runs give every channel its own collector).
+// path. *telemetry.Probe satisfies it; the interface keeps the controller
+// free of a telemetry import.
 type LatencyObserver interface {
 	ObserveReadLatency(thread int, lat int64)
 }

@@ -8,7 +8,7 @@ package sched
 // and a single allocation per decision would put the garbage collector on
 // the simulator's critical path. The guard below pins zero allocations per
 // evaluated cycle; BenchmarkPolicyDecision tracks the decision cost itself
-// (run with -benchmem via scripts/bench.sh).
+// (run it with -benchmem).
 //
 // The file is excluded from parbsdebug builds: that tag's per-scan cache
 // audit rebuilds every bank into fresh scratch by design, so the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
@@ -159,6 +160,15 @@ func TestSubmitHostileSpecs(t *testing.T) {
 	big := append(bytes.Repeat([]byte(" "), maxSpecBytes), banks...)
 	if code, _ := post(t, ts.URL+"/v1/runs", "application/json", big); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("%d-byte spec: status %d, want 413", len(big), code)
+	}
+	// system.parallelism was removed from the spec; the decoder disallows
+	// unknown fields, so an old spec that sets it is refused by name.
+	par := `{"system":{"cores":4,"parallelism":2},"workload":{"mix":"CSI"},"scheduler":{"name":"PAR-BS"}}`
+	rec := serveRecorded(sv.Handler(), "POST", "/v1/runs", []byte(par))
+	var body struct{ Error string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusBadRequest ||
+		!strings.Contains(body.Error, `unknown field "parallelism"`) {
+		t.Errorf("spec with system.parallelism: status %d body %s, want 400 naming the field", rec.Code, rec.Body.String())
 	}
 }
 

@@ -87,7 +87,7 @@ func SimulationRunner(cache *parbs.AloneCache) Runner {
 		if err != nil {
 			return nil, err
 		}
-		opts := []parbs.RunOption{parbs.WithParallelism(spec.System.Parallelism)}
+		var opts []parbs.RunOption
 		if cache != nil {
 			opts = append(opts, parbs.WithAloneCache(cache))
 		}

@@ -50,12 +50,7 @@ type SystemSpec struct {
 	Channels int `json:"channels,omitempty"`
 	// ChannelMode organizes the channels: "lockstep" (default) or
 	// "independent" (one scheduler per channel; see parbs.ChannelMode).
-	ChannelMode string `json:"channel_mode,omitempty"`
-	// Parallelism bounds the worker goroutines of an independent-channel
-	// run: 0 or 1 = sequential, 2 or more = a worker pool. Execution speed
-	// only; results are byte-identical at every level, so it is excluded
-	// from the result cache key.
-	Parallelism   int    `json:"parallelism,omitempty"`
+	ChannelMode   string `json:"channel_mode,omitempty"`
 	Banks         int    `json:"banks,omitempty"`
 	MeasureCycles int64  `json:"measure_cycles,omitempty"`
 	WarmupCycles  int64  `json:"warmup_cycles,omitempty"`
@@ -129,9 +124,6 @@ func (sp *Spec) normalize() error {
 	}
 	if sp.TimeoutMS < 0 {
 		return fmt.Errorf("timeout_ms must be non-negative, got %d", sp.TimeoutMS)
-	}
-	if sp.System.Parallelism < 0 {
-		return fmt.Errorf("system.parallelism must be non-negative, got %d", sp.System.Parallelism)
 	}
 	if err := sp.system().Validate(); err != nil {
 		return err
@@ -245,18 +237,16 @@ func (sp Spec) cost() int64 {
 }
 
 // hash is the job's content hash: identical simulations (regardless of the
-// submitting client, its timeout, or the worker parallelism — which cannot
-// change results) hash equal, keying the result cache.
+// submitting client or its timeout, which cannot change results) hash
+// equal, keying the result cache.
 func (sp Spec) hash() string {
-	canonSys := sp.System
-	canonSys.Parallelism = 0
 	canonical := struct {
 		System    SystemSpec     `json:"system"`
 		Workload  WorkloadSpec   `json:"workload"`
 		Scheduler SchedulerSpec  `json:"scheduler"`
 		Telemetry *TelemetrySpec `json:"telemetry,omitempty"`
 		Trace     *TraceSpec     `json:"trace,omitempty"`
-	}{canonSys, sp.Workload, sp.Scheduler, sp.Telemetry, sp.Trace}
+	}{sp.System, sp.Workload, sp.Scheduler, sp.Telemetry, sp.Trace}
 	data, err := json.Marshal(canonical)
 	if err != nil {
 		// Spec is plain data; Marshal cannot fail. Keep a distinct key

@@ -34,7 +34,6 @@ func TestSpecNormalizeRejectsBadInput(t *testing.T) {
 		"bogus benchmark": {System: SystemSpec{Cores: 1}, Workload: WorkloadSpec{Benchmarks: []string{"doom"}}, Scheduler: SchedulerSpec{Name: "FCFS"}},
 		"bad chan mode":   {System: SystemSpec{Cores: 4, ChannelMode: "ganged"}, Workload: WorkloadSpec{Mix: "CSI"}, Scheduler: SchedulerSpec{Name: "FCFS"}},
 		"chans > cores":   {System: SystemSpec{Cores: 4, Channels: 8}, Workload: WorkloadSpec{Mix: "CSI"}, Scheduler: SchedulerSpec{Name: "FCFS"}},
-		"negative par":    {System: SystemSpec{Cores: 4, Parallelism: -1}, Workload: WorkloadSpec{Mix: "CSI"}, Scheduler: SchedulerSpec{Name: "FCFS"}},
 	}
 	for name, sp := range cases {
 		if err := sp.normalize(); err == nil {
@@ -126,14 +125,7 @@ func TestSpecHashIgnoresClientAndTimeout(t *testing.T) {
 	if a.hash() == d.hash() {
 		t.Error("telemetry request does not change the hash")
 	}
-	// Parallelism changes wall-clock speed only (results are byte-identical),
-	// so it must replay from cache; channel mode changes the simulated
-	// machine, so it must not.
-	e := testSpec("alice", 1)
-	e.System.Parallelism = 4
-	if a.hash() != e.hash() {
-		t.Error("parallelism changes the hash; identical results cannot replay")
-	}
+	// Channel mode changes the simulated machine, so it changes the hash.
 	f := testSpec("alice", 1)
 	f.System.Channels = 2
 	f.System.ChannelMode = "independent"

@@ -93,11 +93,13 @@ func TestCommandStreamEquivalence(t *testing.T) {
 }
 
 // differentialRun executes one fully-instrumented run — command-stream
-// digest, telemetry report and trace log all captured — under the chosen
-// scheduling path (referenceScan) and run loop (forceTicked). The report's loop section is stripped before
-// marshaling: it records evaluated/skipped cycle counts and so differs
-// between the two loop modes by construction.
-func differentialRun(t *testing.T, polName string, mix workload.Mix, seed int64, referenceScan, forceTicked bool) (streamDigest, []byte, []byte) {
+// digest (channel stamps included), telemetry report and trace log all
+// captured — under the chosen scheduling path (referenceScan) and run loop
+// (forceTicked). channels == 0 selects Run (lock-step); otherwise
+// RunIndependent on that many channels. The report's loop section is
+// stripped before marshaling: it records evaluated/skipped cycle counts and
+// so differs between the two loop modes by construction.
+func differentialRun(t *testing.T, polName string, mix workload.Mix, seed int64, channels int, referenceScan, forceTicked bool) (streamDigest, []byte, []byte) {
 	t.Helper()
 	cfg := DefaultConfig(4)
 	cfg.Seed = seed
@@ -114,17 +116,27 @@ func differentialRun(t *testing.T, polName string, mix workload.Mix, seed int64,
 	var count int64
 	cfg.CommandLog = func(ev memctrl.CommandEvent) {
 		count++
-		for _, v := range []int64{ev.Now, int64(ev.Cmd), int64(ev.Bank), ev.Row, int64(ev.Thread), ev.ReqID} {
+		for _, v := range []int64{ev.Now, int64(ev.Channel), int64(ev.Cmd), int64(ev.Bank), ev.Row, int64(ev.Thread), ev.ReqID} {
 			binary.LittleEndian.PutUint64(buf[:], uint64(v))
 			h.Write(buf[:])
 		}
 	}
-	pol, err := sched.ByName(polName)
-	if err != nil {
-		t.Fatal(err)
+	newPolicy := func() memctrl.Policy {
+		pol, err := sched.ByName(polName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pol
 	}
-	if _, err := Run(cfg, mix, pol); err != nil {
-		t.Fatalf("%s %s (reference=%v ticked=%v): %v", polName, mix.Name, referenceScan, forceTicked, err)
+	var err error
+	if channels == 0 {
+		_, err = Run(cfg, mix, newPolicy())
+	} else {
+		cfg.Geometry.Channels = channels
+		_, err = RunIndependent(cfg, mix, newPolicy)
+	}
+	if err != nil {
+		t.Fatalf("%s %s (channels=%d reference=%v ticked=%v): %v", polName, mix.Name, channels, referenceScan, forceTicked, err)
 	}
 	rep := probe.Report(telemetry.ReportMeta{Policy: polName, Workload: mix.Name})
 	rep.Loop = nil
@@ -141,10 +153,10 @@ func differentialRun(t *testing.T, polName string, mix workload.Mix, seed int64,
 
 // expectIdenticalRuns asserts the full observable output of a ticked and a
 // skipping run match byte for byte.
-func expectIdenticalRuns(t *testing.T, polName string, mix workload.Mix, seed int64, referenceScan bool) {
+func expectIdenticalRuns(t *testing.T, polName string, mix workload.Mix, seed int64, channels int, referenceScan bool) {
 	t.Helper()
-	tick, tickTel, tickTr := differentialRun(t, polName, mix, seed, referenceScan, true)
-	skip, skipTel, skipTr := differentialRun(t, polName, mix, seed, referenceScan, false)
+	tick, tickTel, tickTr := differentialRun(t, polName, mix, seed, channels, referenceScan, true)
+	skip, skipTel, skipTr := differentialRun(t, polName, mix, seed, channels, referenceScan, false)
 	if tick.count == 0 {
 		t.Fatalf("ticked run issued no commands (vacuous)")
 	}
@@ -179,18 +191,39 @@ func TestTickedSkippedEquivalence(t *testing.T) {
 			name, mix, seed := name, mixes[mi], int64(11+mi)
 			t.Run(fmt.Sprintf("%s/%s", name, mix.Name), func(t *testing.T) {
 				t.Parallel()
-				expectIdenticalRuns(t, name, mix, seed, false)
+				expectIdenticalRuns(t, name, mix, seed, 0, false)
 			})
 		}
 	}
 	t.Run("PAR-BS/reference-scan", func(t *testing.T) {
 		t.Parallel()
-		expectIdenticalRuns(t, "PAR-BS", workload.CaseStudyI(), 7, true)
+		expectIdenticalRuns(t, "PAR-BS", workload.CaseStudyI(), 7, 0, true)
 	})
 	t.Run("FR-FCFS/reference-scan", func(t *testing.T) {
 		t.Parallel()
-		expectIdenticalRuns(t, "FR-FCFS", workload.CaseStudyI(), 7, true)
+		expectIdenticalRuns(t, "FR-FCFS", workload.CaseStudyI(), 7, 0, true)
 	})
+}
+
+// TestIndependentTickedSkippedEquivalence crosses the multi-shard run loop
+// with the next-event clock: on independent channels, a skipping run must
+// match a ticked run byte for byte (the per-shard tick elision and the
+// global jumps cannot change anything observable). The 3-channel arm
+// exercises ChannelRoute's non-power-of-two modulo route.
+func TestIndependentTickedSkippedEquivalence(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		channels int
+	}{{"PAR-BS", 4}, {"FR-FCFS", 4}, {"STFM", 4}, {"FR-FCFS", 3}} {
+		key := c.name
+		if c.channels != 4 {
+			key = fmt.Sprintf("%s/%d-channels", c.name, c.channels)
+		}
+		t.Run(key, func(t *testing.T) {
+			t.Parallel()
+			expectIdenticalRuns(t, c.name, workload.CaseStudyI(), 13, c.channels, false)
+		})
+	}
 }
 
 // TestCandidateCacheEquivalence is the candidate-cache differential matrix:
@@ -201,7 +234,8 @@ func TestTickedSkippedEquivalence(t *testing.T) {
 // both the next-event and the legacy ticked loop. The cache memoizes
 // per-bank class winners keyed on the policy's OrderEpoch, so this matrix
 // is the end-to-end proof of each policy's EpochedPolicy contract
-// (DESIGN.md §16); run under -race in CI alongside the loop and parallel
+// (DESIGN.md §16). The independent-x4 arms run four shard controllers, each
+// with its own cache. CI runs it under -race alongside the ticked-vs-skipped
 // matrices.
 func TestCandidateCacheEquivalence(t *testing.T) {
 	mixes := workload.RandomMixes(2, 4, 20260808)
@@ -215,23 +249,21 @@ func TestCandidateCacheEquivalence(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", name, mix.Name), func(t *testing.T) {
 				t.Parallel()
 				for _, ticked := range []bool{false, true} {
-					fast, fastTel, fastTr := differentialRun(t, name, mix, seed, false, ticked)
-					ref, refTel, refTr := differentialRun(t, name, mix, seed, true, ticked)
+					fast, fastTel, fastTr := differentialRun(t, name, mix, seed, 0, false, ticked)
+					ref, refTel, refTr := differentialRun(t, name, mix, seed, 0, true, ticked)
 					expectSameRun(t, fmt.Sprintf("ticked=%v", ticked), fast, ref, fastTel, refTel, fastTr, refTr)
 				}
 			})
 		}
 	}
-	// The parallel multi-channel executor must agree with the reference too:
-	// each shard controller keeps its own cache, and worker scheduling must
-	// not leak into the selection it memoizes.
+	// Independent channels must agree with the reference too: each shard
+	// controller keeps its own cache.
 	for _, name := range []string{"PAR-BS", "STFM"} {
-		name := name
-		t.Run(name+"/parallel", func(t *testing.T) {
+		t.Run(name+"/independent-x4", func(t *testing.T) {
 			t.Parallel()
-			fast, fastTel, fastTr := differentialShardRun(t, name, workload.CaseStudyI(), 7, 4, 4, false, false)
-			ref, refTel, refTr := differentialShardRun(t, name, workload.CaseStudyI(), 7, 4, 4, true, false)
-			expectSameRun(t, "parallel", fast, ref, fastTel, refTel, fastTr, refTr)
+			fast, fastTel, fastTr := differentialRun(t, name, workload.CaseStudyI(), 7, 4, false, false)
+			ref, refTel, refTr := differentialRun(t, name, workload.CaseStudyI(), 7, 4, true, false)
+			expectSameRun(t, "independent-x4", fast, ref, fastTel, refTel, fastTr, refTr)
 		})
 	}
 }

@@ -20,7 +20,7 @@ import (
 )
 
 // Golden run digests: the equivalence suites compare two arms of the same
-// build (ticked vs skipping, sequential vs parallel), so a change that moves
+// build (ticked vs skipping, fast vs reference scan), so a change that moves
 // both arms at once passes them. These digests pin the absolute observable
 // output of the run entry points instead — the command log, the telemetry
 // report JSON, the trace JSONL, the Result and every Progress heartbeat —
@@ -39,48 +39,39 @@ import (
 // goldenRunDigests maps a run configuration to its digest.
 var goldenRunDigests = map[string]string{
 	"FCFS/independent-x1":             "5195a83419fee1e44afed4cf4cfc50ec0eae1da0c5e24a0b4db110ef6c71d2e4",
-	"FCFS/independent-x4/par1":        "988cf7a7197bafd31d232ce2e233e8a641aba365ec15ca5180b2443903fa4166",
-	"FCFS/independent-x4/par2":        "988cf7a7197bafd31d232ce2e233e8a641aba365ec15ca5180b2443903fa4166",
+	"FCFS/independent-x4":             "988cf7a7197bafd31d232ce2e233e8a641aba365ec15ca5180b2443903fa4166",
 	"FCFS/lockstep/next-event":        "ec0bf5503d9b9ec6b563735a94e59be454afbf32a19ec541535058496c1a40ec",
 	"FCFS/lockstep/ticked":            "ec0bf5503d9b9ec6b563735a94e59be454afbf32a19ec541535058496c1a40ec",
 	"FR-FCFS+Cap/independent-x1":      "9a4d025f442f966ebed662fa245cab1a58df10bd7a63c70b4c0e84775619dd74",
-	"FR-FCFS+Cap/independent-x4/par1": "0f75816c989de9f036bcb01103fddb29dec596b231145034aa6c6a47e75e3712",
-	"FR-FCFS+Cap/independent-x4/par2": "0f75816c989de9f036bcb01103fddb29dec596b231145034aa6c6a47e75e3712",
+	"FR-FCFS+Cap/independent-x4":      "0f75816c989de9f036bcb01103fddb29dec596b231145034aa6c6a47e75e3712",
 	"FR-FCFS+Cap/lockstep/next-event": "59058f2b7791d12556998f3169c6c0a27fa3faa279581ae3461818393647e485",
 	"FR-FCFS+Cap/lockstep/ticked":     "59058f2b7791d12556998f3169c6c0a27fa3faa279581ae3461818393647e485",
 	"FR-FCFS/independent-x1":          "949b09a1821d81eda06f00a858d91d9aff1ea6cbfbf3b3dc4afdee95a5e80ee6",
-	"FR-FCFS/independent-x4/par1":     "20ae675dae58556eee7f8dcc4c7cf0da9158c9a76d18022cb2e69ad40ef25202",
-	"FR-FCFS/independent-x4/par2":     "20ae675dae58556eee7f8dcc4c7cf0da9158c9a76d18022cb2e69ad40ef25202",
+	"FR-FCFS/independent-x4":          "20ae675dae58556eee7f8dcc4c7cf0da9158c9a76d18022cb2e69ad40ef25202",
 	"FR-FCFS/lockstep/next-event":     "b782c6b4b3e163135e31ff9ab66bd747df3fb0358f6eaa0122528b433bbfcd16",
 	"FR-FCFS/lockstep/ticked":         "b782c6b4b3e163135e31ff9ab66bd747df3fb0358f6eaa0122528b433bbfcd16",
 	"NFQ-ST/independent-x1":           "16637d5817e338c6603b9385fddb871cfdb47253a477e1bbeaff0973a35bb381",
-	"NFQ-ST/independent-x4/par1":      "3438b09620caca6498637987db0b324256f00e73d08fd0a5e75171719178ac7f",
-	"NFQ-ST/independent-x4/par2":      "3438b09620caca6498637987db0b324256f00e73d08fd0a5e75171719178ac7f",
+	"NFQ-ST/independent-x4":           "3438b09620caca6498637987db0b324256f00e73d08fd0a5e75171719178ac7f",
 	"NFQ-ST/lockstep/next-event":      "4f76538a9329d11c5d214b20c0c385277480766fa52604f3b2261761f231da88",
 	"NFQ-ST/lockstep/ticked":          "4f76538a9329d11c5d214b20c0c385277480766fa52604f3b2261761f231da88",
 	"NFQ/independent-x1":              "8ff4b3a9afb4574778a32cbb88c36ee0ba57c4514740f0d329576a55c6d975a0",
-	"NFQ/independent-x4/par1":         "35723b1fb8e4fbdc03c23316dd15320695ae7206c2c6aacbf892a1826816aafa",
-	"NFQ/independent-x4/par2":         "35723b1fb8e4fbdc03c23316dd15320695ae7206c2c6aacbf892a1826816aafa",
+	"NFQ/independent-x4":              "35723b1fb8e4fbdc03c23316dd15320695ae7206c2c6aacbf892a1826816aafa",
 	"NFQ/lockstep/next-event":         "91878a4525a8ccfc7f3d07951d573188451b6e6ea0f60093197433a07896acc6",
 	"NFQ/lockstep/ticked":             "91878a4525a8ccfc7f3d07951d573188451b6e6ea0f60093197433a07896acc6",
 	"PAR-BS/independent-x1":           "496616d3112d9b061d7810fd582c88764482dd665d4f3b0a6a367ff4ba219647",
-	"PAR-BS/independent-x4/par1":      "658c6635de4225c84db98ebd5240340930178085c3239f135fb382bc905c39d3",
-	"PAR-BS/independent-x4/par2":      "658c6635de4225c84db98ebd5240340930178085c3239f135fb382bc905c39d3",
+	"PAR-BS/independent-x4":           "658c6635de4225c84db98ebd5240340930178085c3239f135fb382bc905c39d3",
 	"PAR-BS/lockstep/next-event":      "213a973b7646f5158a53a1ba0f83916fe7871e80c7d6cd34d037ca7ab7570cec",
 	"PAR-BS/lockstep/ticked":          "213a973b7646f5158a53a1ba0f83916fe7871e80c7d6cd34d037ca7ab7570cec",
 	"STFM/independent-x1":             "b7a5e0c8146361fba9aa226f8c69bfb2e2bce10f66b9cca2609b3c645a8f5155",
-	"STFM/independent-x4/par1":        "4f9f56217b110539b4a7334b1899293533b94f6ab68d8c27fa3dd53783afa411",
-	"STFM/independent-x4/par2":        "4f9f56217b110539b4a7334b1899293533b94f6ab68d8c27fa3dd53783afa411",
+	"STFM/independent-x4":             "4f9f56217b110539b4a7334b1899293533b94f6ab68d8c27fa3dd53783afa411",
 	"STFM/lockstep/next-event":        "274397234d0944c3a593e398ad2048f77bb6d41fed3e8f4461ec4eacd66d88ed",
 	"STFM/lockstep/ticked":            "274397234d0944c3a593e398ad2048f77bb6d41fed3e8f4461ec4eacd66d88ed",
 	"TDM-strict/independent-x1":       "dff634c5261d79e6e62624dc0802389eb988d84322efc16ae4e9d5d0648c8760",
-	"TDM-strict/independent-x4/par1":  "edb3131d97fa5abb379347734905bf201a0b8ba1168d8f2225714965e3f43397",
-	"TDM-strict/independent-x4/par2":  "edb3131d97fa5abb379347734905bf201a0b8ba1168d8f2225714965e3f43397",
+	"TDM-strict/independent-x4":       "edb3131d97fa5abb379347734905bf201a0b8ba1168d8f2225714965e3f43397",
 	"TDM-strict/lockstep/next-event":  "97c74835a2846bd0eae71f4b4f5bbbf2c470b5441ea2264336d38e5a82db3e1a",
 	"TDM-strict/lockstep/ticked":      "97c74835a2846bd0eae71f4b4f5bbbf2c470b5441ea2264336d38e5a82db3e1a",
 	"TDM/independent-x1":              "2282e1d504dd0c3b81425ce4b900ca57d14c98293b005496a8868817593d7ac4",
-	"TDM/independent-x4/par1":         "7252e21ab3d3efa77d7c72a9e83c50fc51c796b810201e970df8abd087522f6c",
-	"TDM/independent-x4/par2":         "7252e21ab3d3efa77d7c72a9e83c50fc51c796b810201e970df8abd087522f6c",
+	"TDM/independent-x4":              "7252e21ab3d3efa77d7c72a9e83c50fc51c796b810201e970df8abd087522f6c",
 	"TDM/lockstep/next-event":         "05bf9aec1c748c4f39c92c9bf08988f1344216ef4392f5417d76a907e04cd6a2",
 	"TDM/lockstep/ticked":             "05bf9aec1c748c4f39c92c9bf08988f1344216ef4392f5417d76a907e04cd6a2",
 	"alone/lbm/channels1":             "8ae8a78521f72e583bc67b0730e26b24e61508f1aad7c796a383ce0c4dfe7fae",
@@ -93,48 +84,39 @@ var goldenRunDigests = map[string]string{
 // its run loop evaluated (the rest of its 21_000-cycle span was skipped).
 var goldenEvaluatedCycles = map[string]int64{
 	"FCFS/independent-x1":             17901,
-	"FCFS/independent-x4/par1":        20637,
-	"FCFS/independent-x4/par2":        20637,
+	"FCFS/independent-x4":             20637,
 	"FCFS/lockstep/next-event":        16080,
 	"FCFS/lockstep/ticked":            21000,
 	"FR-FCFS+Cap/independent-x1":      18649,
-	"FR-FCFS+Cap/independent-x4/par1": 20629,
-	"FR-FCFS+Cap/independent-x4/par2": 20629,
+	"FR-FCFS+Cap/independent-x4":      20629,
 	"FR-FCFS+Cap/lockstep/next-event": 15676,
 	"FR-FCFS+Cap/lockstep/ticked":     21000,
 	"FR-FCFS/independent-x1":          18535,
-	"FR-FCFS/independent-x4/par1":     20676,
-	"FR-FCFS/independent-x4/par2":     20676,
+	"FR-FCFS/independent-x4":          20676,
 	"FR-FCFS/lockstep/next-event":     15156,
 	"FR-FCFS/lockstep/ticked":         21000,
 	"NFQ-ST/independent-x1":           19531,
-	"NFQ-ST/independent-x4/par1":      20795,
-	"NFQ-ST/independent-x4/par2":      20795,
+	"NFQ-ST/independent-x4":           20795,
 	"NFQ-ST/lockstep/next-event":      18559,
 	"NFQ-ST/lockstep/ticked":          21000,
 	"NFQ/independent-x1":              19557,
-	"NFQ/independent-x4/par1":         20795,
-	"NFQ/independent-x4/par2":         20795,
+	"NFQ/independent-x4":              20795,
 	"NFQ/lockstep/next-event":         18577,
 	"NFQ/lockstep/ticked":             21000,
 	"PAR-BS/independent-x1":           19124,
-	"PAR-BS/independent-x4/par1":      20799,
-	"PAR-BS/independent-x4/par2":      20799,
+	"PAR-BS/independent-x4":           20799,
 	"PAR-BS/lockstep/next-event":      18572,
 	"PAR-BS/lockstep/ticked":          21000,
 	"STFM/independent-x1":             18786,
-	"STFM/independent-x4/par1":        20633,
-	"STFM/independent-x4/par2":        20633,
+	"STFM/independent-x4":             20633,
 	"STFM/lockstep/next-event":        17298,
 	"STFM/lockstep/ticked":            21000,
 	"TDM-strict/independent-x1":       20975,
-	"TDM-strict/independent-x4/par1":  21000,
-	"TDM-strict/independent-x4/par2":  21000,
+	"TDM-strict/independent-x4":       21000,
 	"TDM-strict/lockstep/next-event":  20767,
 	"TDM-strict/lockstep/ticked":      21000,
 	"TDM/independent-x1":              18904,
-	"TDM/independent-x4/par1":         20725,
-	"TDM/independent-x4/par2":         20725,
+	"TDM/independent-x4":              20725,
 	"TDM/lockstep/next-event":         18097,
 	"TDM/lockstep/ticked":             21000,
 }
@@ -214,12 +196,11 @@ func checkGolden(t *testing.T, key, got string) {
 // goldenSharedRun executes one fully instrumented shared run and returns
 // its digest and evaluated cycle count. channels == 0 selects Run (lock-step, the paper's Table 2
 // system); otherwise RunIndependent on that many channels.
-func goldenSharedRun(t *testing.T, polName string, cores, channels, parallelism int, ticked bool) (string, int64) {
+func goldenSharedRun(t *testing.T, polName string, cores, channels int, ticked bool) (string, int64) {
 	cfg := DefaultConfig(cores)
 	cfg.WarmupCPUCycles = 10_000
 	cfg.MeasureCPUCycles = 200_000
 	cfg.ForceTicked = ticked
-	cfg.Parallelism = parallelism
 	mix := workload.CaseStudyI()
 	if cores == 8 {
 		mix = workload.Figure9Workload()
@@ -289,7 +270,6 @@ func goldenAloneRun(t *testing.T, bench string, channels int) string {
 		out, err = RunAlone(cfg, p)
 	} else {
 		cfg.Geometry.Channels = channels
-		cfg.Parallelism = 2
 		out, err = RunAloneIndependent(cfg, p)
 	}
 	if err != nil {
@@ -301,26 +281,25 @@ func goldenAloneRun(t *testing.T, bench string, channels int) string {
 
 // TestGoldenRunDigests pins the absolute output of every run entry point:
 // lock-step Case Study I under every policy with the next-event and the
-// ticked loop, 8-core runs on 4 independent channels at Parallelism 1 and
-// 2 and on 1 independent channel, and the alone baselines of both layouts.
+// ticked loop, 8-core runs on 4 and on 1 independent channel, and the
+// alone baselines of both layouts.
 func TestGoldenRunDigests(t *testing.T) {
 	cases := []struct {
-		name                      string
-		cores, channels, parallel int
-		ticked                    bool
+		name            string
+		cores, channels int
+		ticked          bool
 	}{
-		{"lockstep/next-event", 4, 0, 0, false},
-		{"lockstep/ticked", 4, 0, 0, true},
-		{"independent-x4/par1", 8, 4, 1, false},
-		{"independent-x4/par2", 8, 4, 2, false},
-		{"independent-x1", 8, 1, 0, false},
+		{"lockstep/next-event", 4, 0, false},
+		{"lockstep/ticked", 4, 0, true},
+		{"independent-x4", 8, 4, false},
+		{"independent-x1", 8, 1, false},
 	}
 	for _, pol := range append(sched.Names(), sched.ExtraNames()...) {
 		for _, c := range cases {
 			key := pol + "/" + c.name
 			t.Run(key, func(t *testing.T) {
 				t.Parallel()
-				digest, evaluated := goldenSharedRun(t, pol, c.cores, c.channels, c.parallel, c.ticked)
+				digest, evaluated := goldenSharedRun(t, pol, c.cores, c.channels, c.ticked)
 				checkGolden(t, key, digest)
 				if want, ok := goldenEvaluatedCycles[key]; !ok || evaluated != want {
 					t.Errorf("%s: %d evaluated cycles, want %d", key, evaluated, want)

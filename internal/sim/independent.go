@@ -21,8 +21,6 @@ import (
 // cfg.Geometry.Channels gives the channel count; each channel is one shard
 // of the run loop, its device built with Channels = 1 (a full-width burst).
 // factory must return a fresh policy per call (policies are stateful).
-// cfg.Parallelism spreads the shards across worker goroutines; results are
-// byte-identical at every setting.
 func RunIndependent(cfg Config, mix workload.Mix, factory func() memctrl.Policy) (Result, error) {
 	return run(cfg, mix, factory, false)
 }
@@ -32,6 +30,58 @@ func RunIndependent(cfg Config, mix workload.Mix, factory func() memctrl.Policy)
 // way RunAlone matches Run.
 func RunAloneIndependent(cfg Config, p workload.Profile) (metrics.ThreadOutcome, error) {
 	return runAlone(cfg, p, false)
+}
+
+// chanShard is one shard of the run loop: a device (lock-step ganged or one
+// independent channel) and its controller, plus the shard-local next-event
+// bookkeeping.
+type chanShard struct {
+	ctrl *memctrl.Controller
+	dev  *dram.Device
+
+	// Controller-tick elision: ctrlNext is the bound NextEventAt returned
+	// after the last unproductive tick. Until that cycle — and as long as no
+	// core enqueues a request, which invalidates the bound (ctrlEnq) — the
+	// tick is skipped even while cores stay busy: nothing can retire (the
+	// bound caps at the oldest in-flight burst's end), nothing can issue,
+	// and the policy's OnCycle is inert between events (the NextEventer
+	// contract; non-NextEventer policies pin the bound to now+1). The
+	// per-cycle BLP accounting those ticks would have done accrues in
+	// ctrlIdle and is applied in closed form before the next real tick or
+	// any stats read.
+	ctrlNext int64
+	ctrlIdle int64
+	ctrlEnq  int64
+	skipping bool
+}
+
+// step advances the shard's controller by one DRAM cycle, eliding the tick
+// when the shard's next-event bound proves it inert, and reports whether
+// the shard issued a command.
+func (s *chanShard) step(dc int64) (issued bool) {
+	if e := s.ctrl.Enqueues(); s.skipping && dc < s.ctrlNext && e == s.ctrlEnq {
+		s.ctrlIdle++
+		return false
+	}
+	s.ctrlEnq = s.ctrl.Enqueues()
+	s.flushIdle()
+	before := s.ctrl.CommandsIssued()
+	s.ctrl.Tick(dc)
+	issued = s.ctrl.CommandsIssued() != before
+	if issued {
+		s.ctrlNext = dc + 1
+	} else {
+		s.ctrlNext = s.ctrl.NextEventAt(dc)
+	}
+	return issued
+}
+
+// flushIdle applies the accumulated elided-cycle BLP accounting.
+func (s *chanShard) flushIdle() {
+	if s.ctrlIdle > 0 {
+		s.ctrl.AccountIdleSpan(s.ctrlIdle)
+		s.ctrlIdle = 0
+	}
 }
 
 // channelPort adapts the shard controllers to the cpu.MemPort interface,
@@ -59,8 +109,7 @@ func (p *channelPort) IssueWrite(thread int, addr int64) bool {
 }
 
 // sampler holds the preallocated scratch a probed run fills at each epoch
-// boundary: it absorbs every shard's collector into the probe (channel
-// order), merges per-thread controller stats across shards, and
+// boundary: it merges per-thread controller stats across shards and
 // concatenates per-shard bank CAS counters into the probe's flat bank axis.
 type sampler struct {
 	probe      *telemetry.Probe
@@ -78,7 +127,6 @@ type sampler struct {
 func (s *sampler) sample(end int64) {
 	for _, sh := range s.shards {
 		sh.flushIdle()
-		s.probe.Absorb(sh.col)
 	}
 	for i, core := range s.cores {
 		st := core.Stats()

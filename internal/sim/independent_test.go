@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/dram"
@@ -52,6 +54,22 @@ func TestRunIndependentValidation(t *testing.T) {
 	bad.Cores = 0
 	if _, err := RunIndependent(bad, workload.Figure9Workload(), func() memctrl.Policy { return sched.NewFCFS() }); err == nil {
 		t.Error("invalid config accepted")
+	}
+}
+
+// TestIndependentCancellation proves a canceled context aborts a sharded
+// run at its first checkpoint with an error wrapping the cancellation.
+func TestIndependentCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // cancel up front: the first checkpoint must observe it
+	cfg := DefaultConfig(4)
+	cfg.WarmupCPUCycles = 10_000
+	cfg.MeasureCPUCycles = 400_000
+	cfg.Geometry.Channels = 4
+	cfg.Context = ctx
+	_, err := RunIndependent(cfg, workload.CaseStudyI(), func() memctrl.Policy { return sched.NewPARBSDefault() })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run: error %v, want one wrapping context.Canceled", err)
 	}
 }
 

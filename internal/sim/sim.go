@@ -66,15 +66,11 @@ type Config struct {
 	// Context, when non-nil, is polled at every epoch checkpoint;
 	// cancellation aborts the run with the context's error.
 	Context context.Context
-	// Parallelism bounds the worker goroutines the run loop spreads its
-	// channel shards across: 0 (the default) and 1 run shards inline on the
-	// calling goroutine, higher values start a worker pool clamped to the
-	// shard count — so a lock-step run (Run), which is one shard, always
-	// runs inline. The pool is opt-in because no measured host has shown it
-	// beating inline stepping (DESIGN.md §14).
-	// Results are byte-identical at every setting — the parallel
-	// equivalence tests pin command stream, telemetry and traces against
-	// the sequential path.
+	// Parallelism is ignored: every run steps its channel shards inline,
+	// in channel order, on the calling goroutine (DESIGN.md §14).
+	//
+	// Deprecated: the shard worker pool it sized was removed; the field
+	// remains only so existing callers compile.
 	Parallelism int
 	// ForceTicked forces the legacy one-cycle-per-iteration run loop,
 	// disabling next-event cycle skipping. The command stream, telemetry
@@ -139,8 +135,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: measurement window must be positive")
 	case c.WarmupCPUCycles < 0 || c.CompletionOverheadCPU < 0:
 		return fmt.Errorf("sim: warmup and overhead must be non-negative")
-	case c.Parallelism < 0:
-		return fmt.Errorf("sim: parallelism must be non-negative, got %d", c.Parallelism)
 	}
 	if err := c.Core.Validate(); err != nil {
 		return err
@@ -220,8 +214,8 @@ func Run(cfg Config, mix workload.Mix, policy memctrl.Policy) (Result, error) {
 // channel count, banks and controller) — the baseline for slowdown metrics.
 // The scheduling policy is irrelevant with one thread; FR-FCFS is used as
 // in the paper's alone runs. Telemetry probes, tracers and command logs
-// apply only to the shared run and are stripped here; Context, Progress
-// and Parallelism carry over.
+// apply only to the shared run and are stripped here; Context and Progress
+// carry over.
 func RunAlone(cfg Config, p workload.Profile) (metrics.ThreadOutcome, error) {
 	return runAlone(cfg, p, true)
 }
@@ -247,15 +241,12 @@ func runAlone(cfg Config, p workload.Profile, ganged bool) (metrics.ThreadOutcom
 // geometry, trace.Meta.Channels (0 when ganged), the " xN-independent"
 // policy suffix and Progress.PendingPerChannel (nil when ganged).
 //
-// Cores run on the calling goroutine, in core order, on every evaluated
-// cycle in which they could call the memory port (enqueue order is
-// semantic: request-buffer back-pressure depends on it); the shard
-// controllers then advance either inline, in channel order, or on the
-// worker pool of parallel.go (cfg.Parallelism; one shard always runs
-// inline). Shards never share mutable state within a cycle — completions,
-// command-log events, telemetry and trace events buffer in the owning
-// shard and are merged on the calling goroutine in channel order — so
-// every output is byte-identical at every parallelism level.
+// Everything runs on the calling goroutine. Cores tick in core order on
+// every evaluated cycle in which they could call the memory port (enqueue
+// order is semantic: request-buffer back-pressure depends on it); the shard
+// controllers then advance in channel order, delivering completions,
+// command-log events and telemetry as they happen. Trace events go to a
+// per-shard tracer merged after the run (stable by cycle, then channel).
 //
 // The loop is a next-event clock: each iteration evaluates one DRAM cycle,
 // and when that cycle was provably inert — no shard issued a command — the
@@ -285,7 +276,6 @@ func run(cfg Config, mix workload.Mix, factory func() memctrl.Policy, ganged boo
 
 	skipping := !cfg.ForceTicked
 	ratio := cfg.CPUCyclesPerDRAM
-	workers := workerCount(cfg.Parallelism, n)
 	cores := make([]*cpu.Core, cfg.Cores)
 	clocks := make([]coreClock, cfg.Cores)
 	complete := func(r *memctrl.Request, endDRAM int64) {
@@ -318,30 +308,12 @@ func run(cfg Config, mix workload.Mix, factory func() memctrl.Policy, ganged boo
 		if err != nil {
 			return Result{}, err
 		}
-		s := &chanShard{ctrl: ctrl, dev: dev, skipping: skipping}
-		// Completions and command-log events are produced inside the shard's
-		// controller tick. On a worker goroutine they buffer shard-locally
-		// and drain on the run goroutine after the barrier; inline stepping
-		// already runs in channel order and delivers them directly.
-		if workers > 1 {
-			ctrl.SetOnComplete(func(r *memctrl.Request, endDRAM int64) {
-				s.comps = append(s.comps, shardCompletion{req: r, end: endDRAM})
-			})
-			if cfg.CommandLog != nil {
-				ctrl.SetCommandLog(func(ev memctrl.CommandEvent) { s.cmds = append(s.cmds, ev) })
-			}
-		} else {
-			ctrl.SetOnComplete(complete)
-			ctrl.SetCommandLog(cfg.CommandLog)
-		}
-		// Telemetry: the shared probe cannot be fed from worker goroutines,
-		// so every shard observes read latencies and batch lifecycles into
-		// its own commutative collector, absorbed in channel order.
-		if cfg.Probe != nil {
-			s.col = telemetry.NewCollector(cfg.Cores)
-			ctrl.SetProbe(s.col)
+		ctrl.SetOnComplete(complete)
+		ctrl.SetCommandLog(cfg.CommandLog)
+		if probe := cfg.Probe; probe != nil {
+			ctrl.SetProbe(probe)
 			if eng, ok := pol.(interface{ SetBatchObserver(core.BatchObserver) }); ok {
-				eng.SetBatchObserver(s.col)
+				eng.SetBatchObserver(probe)
 			}
 		}
 		// Tracing: a lone shard records straight into the run's tracer;
@@ -358,7 +330,7 @@ func run(cfg Config, mix workload.Mix, factory func() memctrl.Policy, ganged boo
 				eng.SetLifecycleObserver(st)
 			}
 		}
-		shards[ch] = s
+		shards[ch] = &chanShard{ctrl: ctrl, dev: dev, skipping: skipping}
 	}
 
 	port := &channelPort{shards: shards, line: cfg.Geometry.LineBytes, chans: n}
@@ -422,36 +394,6 @@ func run(cfg Config, mix workload.Mix, factory func() memctrl.Policy, ganged boo
 		nextCheck = checkEvery
 	}
 
-	// The shard executor: inline channel-order stepping, or the worker pool
-	// with a per-cycle barrier followed by a channel-order drain of the
-	// buffered completions and command-log events. Both run the same
-	// chanShard.step and deliver in the same order, so the choice cannot
-	// change any result. step reports whether any shard issued a command.
-	var pool *shardPool
-	if workers > 1 {
-		pool = newShardPool(shards, workers)
-		defer pool.stop()
-	}
-	step := func(dc int64) (issued bool) {
-		if pool != nil {
-			pool.cycle(dc)
-		}
-		for _, s := range shards {
-			if pool == nil {
-				s.step(dc)
-			}
-			issued = issued || s.issued
-			for _, c := range s.comps {
-				complete(c.req, c.end)
-			}
-			s.comps = s.comps[:0]
-			for _, ev := range s.cmds {
-				cfg.CommandLog(ev)
-			}
-			s.cmds = s.cmds[:0]
-		}
-		return issued
-	}
 	issued := func() (t int64) {
 		for _, s := range shards {
 			t += s.ctrl.CommandsIssued()
@@ -493,9 +435,6 @@ func run(cfg Config, mix workload.Mix, factory func() memctrl.Policy, ganged boo
 			for _, s := range shards {
 				s.flushIdle()
 				s.ctrl.ResetStats()
-				if s.col != nil {
-					s.col.Reset()
-				}
 			}
 			if tel != nil {
 				tel.probe.Rebase()
@@ -513,7 +452,12 @@ func run(cfg Config, mix workload.Mix, factory func() memctrl.Policy, ganged boo
 				k.catchUp(core, tickEnd)
 			}
 		}
-		progressed := step(dc)
+		progressed := false
+		for _, s := range shards {
+			if s.step(dc) {
+				progressed = true
+			}
+		}
 		// Liveness check: buffered work with no command progress for a long
 		// stretch of simulated time indicates a scheduling deadlock (a policy
 		// bug). The window counts elapsed DRAM cycles, not loop iterations,
@@ -614,9 +558,6 @@ func run(cfg Config, mix workload.Mix, factory func() memctrl.Policy, ganged boo
 		s.flushIdle()
 	}
 	if tel != nil {
-		for _, s := range shards {
-			tel.probe.Absorb(s.col)
-		}
 		tel.probe.RecordLoopStats(totalDRAM, evaluated, totalDRAM-evaluated)
 	}
 	if shardTracers != nil {

@@ -199,7 +199,6 @@ func runTracedIndependent(t *testing.T, polName string, mix workload.Mix, channe
 	cfg := DefaultConfig(len(mix.Benchmarks))
 	cfg.MeasureCPUCycles = 300_000
 	cfg.Geometry.Channels = channels
-	cfg.Parallelism = 1
 	tr := trace.NewTracer(trace.Config{})
 	cfg.Tracer = tr
 	factory := func() memctrl.Policy {

@@ -91,7 +91,6 @@ func TestGoldenWireIndependentChannels(t *testing.T) {
 	cfg.WarmupCPUCycles = 10_000
 	cfg.MeasureCPUCycles = 100_000
 	cfg.Geometry.Channels = 4
-	cfg.Parallelism = 1
 	cfg.Tracer = trace.NewTracer(trace.Config{})
 	factory := func() memctrl.Policy { return sched.NewPARBSDefault() }
 	if _, err := sim.RunIndependent(cfg, workload.CaseStudyI(), factory); err != nil {

@@ -6,10 +6,10 @@ import "sort"
 // one globally time-ordered event stream. The merge is deterministic:
 // shard streams are concatenated in channel order and stable-sorted by
 // cycle, so events of one cycle appear in channel order and events within
-// one shard keep their recording order — exactly the stream a sequential
-// channel-order execution of the same shards produces, which is what makes
-// parallel and sequential sharded runs byte-identical (pinned by the
-// equivalence tests in internal/sim).
+// one shard keep their recording order. That order (and each shard's own
+// buffer cap) defines a multi-channel log: recording every channel into one
+// tracer would interleave a cycle's arrivals by core instead of grouping
+// them by channel, and change the JSONL bytes.
 //
 // Each KindBatch event's per-thread counts follow it through the merge
 // (shards number their batches independently; the Channel stamp plus the

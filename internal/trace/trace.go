@@ -183,8 +183,7 @@ func (t *Tracer) record(ev Event) {
 
 // NewShard derives a tracer for one channel of a sharded run: same buffer
 // cap, every recorded event stamped with the channel index. Shard tracers
-// are fed by their own channel's controller and scheduler only (so
-// parallel shard execution never contends on one event buffer) and are
+// are fed by their own channel's controller and scheduler only and are
 // folded back into the parent with MergeShards after the run.
 func (t *Tracer) NewShard(channel int) *Tracer {
 	return &Tracer{cfg: t.cfg, bound: true, channel: int32(channel)}

@@ -140,12 +140,11 @@ func WithAloneCache(c *AloneCache) RunOption {
 
 // runConfig collects the RunOption settings.
 type runConfig struct {
-	tel         *Telemetry
-	tracer      *Tracer
-	cmdLog      func(CommandEvent)
-	progress    func(Progress)
-	aloneCache  *AloneCache
-	parallelism int
+	tel        *Telemetry
+	tracer     *Tracer
+	cmdLog     func(CommandEvent)
+	progress   func(Progress)
+	aloneCache *AloneCache
 }
 
 // RunOption customizes a RunContext call.
@@ -172,19 +171,13 @@ func WithProgress(fn func(Progress)) RunOption {
 	return func(rc *runConfig) { rc.progress = fn }
 }
 
-// WithParallelism bounds the worker goroutines an Independent-channel run
-// (System.ChannelMode) spreads its per-channel shards across: 0 (the
-// default) and 1 run every channel inline on the calling goroutine, 2 or
-// more start a worker pool, and values above the channel count are clamped
-// to it. No measured host has shown the pool beating inline stepping — its
-// per-cycle barrier costs more than a shard step (DESIGN.md §14) — so it is
-// opt-in. The setting changes wall-clock speed only — the simulated schedule,
-// telemetry and traces are byte-identical at every level (pinned by the
-// parallel equivalence tests). Lockstep systems have a single command
-// stream and ignore it. Negative values are reported as an error by
-// RunContext.
+// WithParallelism has no effect: every run steps its channels inline on the
+// calling goroutine (DESIGN.md §14).
+//
+// Deprecated: the shard worker pool it sized was removed; the option
+// remains only so existing callers compile.
 func WithParallelism(n int) RunOption {
-	return func(rc *runConfig) { rc.parallelism = n }
+	return func(*runConfig) {}
 }
 
 // Run simulates the workload on the system under the scheduler, including
@@ -208,11 +201,7 @@ func RunContext(ctx context.Context, sys System, w Workload, s Scheduler, opts .
 	if err != nil {
 		return Report{}, err
 	}
-	if rc.parallelism < 0 {
-		return Report{}, fmt.Errorf("parbs: WithParallelism needs a non-negative worker count, got %d", rc.parallelism)
-	}
 	independent := sys.ChannelMode == Independent
-	cfg.Parallelism = rc.parallelism
 	if len(w.mix.Benchmarks) != cfg.Cores {
 		return Report{}, fmt.Errorf("parbs: workload %q has %d benchmarks for %d cores",
 			w.mix.Name, len(w.mix.Benchmarks), cfg.Cores)

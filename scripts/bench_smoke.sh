@@ -1,11 +1,10 @@
 #!/bin/sh
 # CI throughput gate: re-measures BenchmarkSimulatedCyclesPerSecond briefly
 # and fails when it regresses more than 20% below the floor checked in via
-# BENCH_5.json (the "after" column recorded by scripts/bench.sh). The 20%
-# margin absorbs machine noise (+-10% is routine on shared runners) while
-# still catching any change that loses the next-event clock or one of the
-# scheduling-path optimizations outright. Refresh the floor with
-# `make bench` after intentional perf changes.
+# BENCH_5.json (its "after" column, a frozen record). The 20% margin
+# absorbs machine noise (+-10% is routine on shared runners) while still
+# catching any change that loses the next-event clock or one of the
+# scheduling-path optimizations outright.
 #
 # Also runs one iteration of the PolicyDecision benchmarks as a breakage
 # (not regression) check, preserving the old bench-smoke behavior.
@@ -24,11 +23,9 @@ measured="$(printf '%s\n' "$out" | awk '/BenchmarkSimulatedCyclesPerSecond / {fo
 go test -run '^$' -bench 'PolicyDecision' -benchtime 1x . > /dev/null
 
 # Breakage (not regression) check of the sharded Independent-channel engine:
-# one iteration each of the sequential and parallel variants. The relative
-# speed of the two is machine-dependent (parallel needs >1 core to win), so
-# only completion is gated here; the measured ratio lives in BENCH_3.json.
+# one iteration; only completion is gated here.
 go test -run '^$' -bench 'IndependentChannels' -benchtime 1x . > /dev/null
-echo "bench-smoke: independent-channel engine (sequential and parallel-4) OK"
+echo "bench-smoke: independent-channel engine OK"
 
 awk -v m="$measured" -v f="$floor" 'BEGIN {
 	limit = f * 0.8

@@ -21,10 +21,7 @@ const (
 	Lockstep ChannelMode = "lockstep"
 	// Independent gives every channel its own controller and its own fresh
 	// scheduler instance, with cache lines spread across channels — the
-	// organization of most contemporary multi-channel controllers. In this
-	// mode the channels are execution shards and the run can execute them
-	// on parallel worker goroutines (WithParallelism) with byte-identical
-	// results.
+	// organization of most contemporary multi-channel controllers.
 	Independent ChannelMode = "independent"
 )
 
