@@ -146,7 +146,6 @@ func main() {
 		}
 	}
 	var res sim.Result
-	runAlone := sim.RunAlone
 	if mode == parbs.Independent {
 		name := *schedName
 		res, err = sim.RunIndependent(cfg, mix, func() memctrl.Policy {
@@ -156,7 +155,6 @@ func main() {
 			}
 			return p
 		})
-		runAlone = sim.RunAloneIndependent
 	} else {
 		res, err = sim.Run(cfg, mix, policy)
 	}
@@ -167,6 +165,8 @@ func main() {
 	if mode == parbs.Independent {
 		chanOrg = "independent"
 	}
+	// One baseline per distinct benchmark: CSIII's four lbm copies share one.
+	var baselines sim.AloneCache
 	var cs []metrics.Comparison
 	aloneMCPI := make([]float64, len(res.Threads))
 	fmt.Printf("mix %s under %s (%d cores, %d %s channels)\n",
@@ -174,7 +174,7 @@ func main() {
 	fmt.Printf("%-12s %10s %8s %8s %8s %8s %10s\n",
 		"thread", "slowdown", "IPC", "MCPI", "BLP", "RBhit", "AST/req")
 	for i, th := range res.Threads {
-		alone, err := runAlone(cfg, mix.Benchmarks[i])
+		alone, err := baselines.Alone(cfg, mix.Benchmarks[i], mode != parbs.Independent)
 		if err != nil {
 			fatal(err)
 		}

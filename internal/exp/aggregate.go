@@ -26,47 +26,20 @@ type aggregate struct {
 }
 
 // runSet evaluates every scheduler on every mix (in parallel) and returns
-// per-scheduler aggregates plus the per-mix unfairness for sample columns.
-func runSet(x *Context, cores int, mixes []workload.Mix) (map[string]aggregate, map[string][]MixResult, error) {
-	cfg := x.Config(cores)
-	if err := x.prepareAlone(x.ctx(), cfg, mixes); err != nil {
-		return nil, nil, err
-	}
+// per-scheduler aggregates plus the results indexed [mix][scheduler] for
+// sample columns.
+func runSet(x *Context, cores int, mixes []workload.Mix) (map[string]aggregate, [][]MixResult, error) {
 	names := sched.Names()
-	type job struct{ mi, si int }
-	jobs := make([]job, 0, len(mixes)*len(names))
-	for mi := range mixes {
-		for si := range names {
-			jobs = append(jobs, job{mi, si})
-		}
-	}
-	results := make([][]MixResult, len(mixes))
-	for i := range results {
-		results[i] = make([]MixResult, len(names))
-	}
-	err := parallelFor(x.ctx(), len(jobs), func(i int) error {
-		j := jobs[i]
-		pol, err := sched.ByName(names[j.si])
-		if err != nil {
-			return err
-		}
-		r, err := x.RunMix(cfg, mixes[j.mi], pol)
-		if err != nil {
-			return err
-		}
-		results[j.mi][j.si] = r
-		return nil
-	})
+	results, err := runGrid(x, x.Config(cores), mixes, schedVariants(names...))
 	if err != nil {
 		return nil, nil, err
 	}
 	aggs := map[string]aggregate{}
-	perSched := map[string][]MixResult{}
 	for si, name := range names {
 		var unf, wsp, hsp, ast []float64
 		var wc int64
-		for mi := range mixes {
-			r := results[mi][si]
+		for _, row := range results {
+			r := row[si]
 			unf = append(unf, r.Unfair)
 			wsp = append(wsp, r.WSpeedup)
 			hsp = append(hsp, r.HSpeedup)
@@ -74,7 +47,6 @@ func runSet(x *Context, cores int, mixes []workload.Mix) (map[string]aggregate, 
 			if r.WCLatency > wc {
 				wc = r.WCLatency
 			}
-			perSched[name] = append(perSched[name], r)
 		}
 		aggs[name] = aggregate{
 			Unfair: stats.GeoMean(unf),
@@ -84,7 +56,7 @@ func runSet(x *Context, cores int, mixes []workload.Mix) (map[string]aggregate, 
 			WCLat:  wc,
 		}
 	}
-	return aggs, perSched, nil
+	return aggs, results, nil
 }
 
 func runF8(x *Context) (*Table, error) {
@@ -96,7 +68,7 @@ func runF8(x *Context) (*Table, error) {
 		mixes = mixes[:3]
 	}
 	mixes = append(mixes, extra...)
-	aggs, perSched, err := runSet(x, 4, mixes)
+	aggs, results, err := runSet(x, 4, mixes)
 	if err != nil {
 		return nil, err
 	}
@@ -114,8 +86,8 @@ func runF8(x *Context) (*Table, error) {
 			break
 		}
 		row := fmt.Sprintf("%s (%v):", m.Name, workload.Names(m.Benchmarks))
-		for _, name := range sched.Names() {
-			row += fmt.Sprintf(" %s=%.2f", name, perSched[name][i].Unfair)
+		for si, name := range sched.Names() {
+			row += fmt.Sprintf(" %s=%.2f", name, results[i][si].Unfair)
 		}
 		t.AddNote("sample unfairness %s", row)
 	}
@@ -125,7 +97,7 @@ func runF8(x *Context) (*Table, error) {
 
 func runF9(x *Context) (*Table, error) {
 	mix := workload.Figure9Workload()
-	t, err := caseStudyTable(x, "F9", "8-core mixed workload (3 intensive + 5 non-intensive)", mix)
+	t, _, err := caseStudyTable(x, "F9", "8-core mixed workload (3 intensive + 5 non-intensive)", mix)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +113,7 @@ func runF10(x *Context) (*Table, error) {
 		mixes = mixes[:2]
 	}
 	mixes = append(mixes, workload.RandomMixes(n, 16, x.Seed+2)...)
-	aggs, perSched, err := runSet(x, 16, mixes)
+	aggs, results, err := runSet(x, 16, mixes)
 	if err != nil {
 		return nil, err
 	}
@@ -158,8 +130,8 @@ func runF10(x *Context) (*Table, error) {
 			break
 		}
 		row := samples[i].Name + ":"
-		for _, name := range sched.Names() {
-			row += fmt.Sprintf(" %s=%.2f", name, perSched[name][i].Unfair)
+		for si, name := range sched.Names() {
+			row += fmt.Sprintf(" %s=%.2f", name, results[i][si].Unfair)
 		}
 		t.AddNote("sample unfairness %s", row)
 	}

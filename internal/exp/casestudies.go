@@ -2,7 +2,6 @@ package exp
 
 import (
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -17,11 +16,12 @@ func init() {
 }
 
 // caseStudyTable runs the mix under all five schedulers and tabulates
-// per-thread memory slowdowns, unfairness and system throughput.
-func caseStudyTable(x *Context, id, title string, mix workload.Mix) (*Table, error) {
-	cfg := x.Config(len(mix.Benchmarks))
-	if err := x.prepareAlone(x.ctx(), cfg, []workload.Mix{mix}); err != nil {
-		return nil, err
+// per-thread memory slowdowns, unfairness and system throughput. It also
+// returns the results in sched.Names() order.
+func caseStudyTable(x *Context, id, title string, mix workload.Mix) (*Table, []MixResult, error) {
+	results, err := runGrid(x, x.Config(len(mix.Benchmarks)), []workload.Mix{mix}, schedVariants(sched.Names()...))
+	if err != nil {
+		return nil, nil, err
 	}
 	header := []string{"scheduler"}
 	for _, p := range mix.Benchmarks {
@@ -29,25 +29,7 @@ func caseStudyTable(x *Context, id, title string, mix workload.Mix) (*Table, err
 	}
 	header = append(header, "unfairness", "Wspeedup", "Hspeedup", "AST/req", "WC lat")
 	t := &Table{ID: id, Title: title, Header: header}
-
-	names := sched.Names()
-	results := make([]MixResult, len(names))
-	err := parallelFor(x.ctx(), len(names), func(i int) error {
-		pol, err := sched.ByName(names[i])
-		if err != nil {
-			return err
-		}
-		r, err := x.RunMix(cfg, mix, pol)
-		if err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range results {
+	for _, r := range results[0] {
 		row := []string{r.Policy}
 		for _, c := range r.Cs {
 			row = append(row, f2(c.MemSlowdown()))
@@ -55,11 +37,11 @@ func caseStudyTable(x *Context, id, title string, mix workload.Mix) (*Table, err
 		row = append(row, f2(r.Unfair), f3(r.WSpeedup), f3(r.HSpeedup), f1(r.AvgAST), d(r.WCLatency))
 		t.AddRow(row...)
 	}
-	return t, nil
+	return t, results[0], nil
 }
 
 func runF5(x *Context) (*Table, error) {
-	t, err := caseStudyTable(x, "F5", "Memory slowdowns and throughput, CSI (libquantum+mcf+GemsFDTD+xalancbmk)", workload.CaseStudyI())
+	t, _, err := caseStudyTable(x, "F5", "Memory slowdowns and throughput, CSI (libquantum+mcf+GemsFDTD+xalancbmk)", workload.CaseStudyI())
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +50,7 @@ func runF5(x *Context) (*Table, error) {
 }
 
 func runF6(x *Context) (*Table, error) {
-	t, err := caseStudyTable(x, "F6", "Memory slowdowns and throughput, CSII (matlab+h264ref+omnetpp+hmmer)", workload.CaseStudyII())
+	t, _, err := caseStudyTable(x, "F6", "Memory slowdowns and throughput, CSII (matlab+h264ref+omnetpp+hmmer)", workload.CaseStudyII())
 	if err != nil {
 		return nil, err
 	}
@@ -77,29 +59,17 @@ func runF6(x *Context) (*Table, error) {
 }
 
 func runF7(x *Context) (*Table, error) {
-	mix := workload.CaseStudyIII()
-	t, err := caseStudyTable(x, "F7", "Four copies of lbm: fairness trivial, throughput differs", mix)
+	t, results, err := caseStudyTable(x, "F7", "Four copies of lbm: fairness trivial, throughput differs", workload.CaseStudyIII())
 	if err != nil {
 		return nil, err
 	}
 	// Row-buffer hit rate per scheduler: the paper reports NFQ destroying
 	// lbm's locality (61% -> 31%).
-	cfg := x.Config(4)
-	hit := &Table{ID: "F7b", Title: "system row-hit rate per scheduler (4x lbm)"}
-	_ = hit
-	rates := []string{"row-hit rate"}
-	for _, name := range sched.Names() {
-		pol, err := sched.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.Run(cfg, mix, pol)
-		if err != nil {
-			return nil, err
-		}
-		rates = append(rates, f3(res.DRAM.RowHitRate()))
+	rates := make([]string, len(results))
+	for i, r := range results {
+		rates[i] = f3(r.Raw.DRAM.RowHitRate())
 	}
-	t.AddNote("device row-hit rate by scheduler (%v): %v", sched.Names(), rates[1:])
+	t.AddNote("device row-hit rate by scheduler (%v): %v", sched.Names(), rates)
 	t.AddNote("paper: all schedulers fair (unfairness 1.00); NFQ loses the most locality and throughput; PAR-BS best throughput")
 	return t, nil
 }

@@ -8,12 +8,13 @@ import (
 
 	"repro/internal/memctrl"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 // Context carries shared experiment state: the simulation scale, the seed,
-// and a cache of alone-run baselines (one per benchmark per system shape).
+// and a cache of alone-run baselines shared by every experiment run on it.
 type Context struct {
 	// Quick reduces workload counts and simulated cycles for smoke runs
 	// and benchmarks; the full experiments use Quick == false.
@@ -26,18 +27,15 @@ type Context struct {
 	// the simulator's zero-overhead no-checkpoint fast path).
 	Ctx context.Context
 
-	mu    sync.Mutex
-	alone map[aloneKey]metrics.ThreadOutcome
-}
-
-type aloneKey struct {
-	bench    string
-	channels int
+	// alone is keyed by the whole memory system, so experiments that sweep
+	// a system parameter share the baselines of configurations they have
+	// in common.
+	alone sim.AloneCache
 }
 
 // NewContext returns a Context with the given fidelity.
 func NewContext(quick bool) *Context {
-	return &Context{Quick: quick, Seed: 1, alone: make(map[aloneKey]metrics.ThreadOutcome)}
+	return &Context{Quick: quick, Seed: 1}
 }
 
 // Config returns the simulation configuration for a system with the given
@@ -73,24 +71,10 @@ func (x *Context) MixCount(full int) int {
 	return n
 }
 
-// Alone returns the cached alone-run baseline for the benchmark on the
-// given system shape.
+// Alone returns the cached lock-step alone-run baseline for the benchmark
+// on cfg's memory system.
 func (x *Context) Alone(cfg sim.Config, p workload.Profile) (metrics.ThreadOutcome, error) {
-	key := aloneKey{bench: p.Name, channels: cfg.Geometry.Channels}
-	x.mu.Lock()
-	out, ok := x.alone[key]
-	x.mu.Unlock()
-	if ok {
-		return out, nil
-	}
-	out, err := sim.RunAlone(cfg, p)
-	if err != nil {
-		return out, err
-	}
-	x.mu.Lock()
-	x.alone[key] = out
-	x.mu.Unlock()
-	return out, nil
+	return x.alone.Alone(cfg, p, true)
 }
 
 // MixResult is one shared run reduced to the paper's metrics.
@@ -113,6 +97,12 @@ func (x *Context) RunMix(cfg sim.Config, mix workload.Mix, policy memctrl.Policy
 	if err != nil {
 		return MixResult{}, fmt.Errorf("mix %s: %w", mix.Name, err)
 	}
+	return x.compare(cfg, mix, res)
+}
+
+// compare joins a shared run of the mix on cfg with the lock-step alone
+// baselines and reduces it to the paper's metrics.
+func (x *Context) compare(cfg sim.Config, mix workload.Mix, res sim.Result) (MixResult, error) {
 	cs := make([]metrics.Comparison, len(res.Threads))
 	for i, th := range res.Threads {
 		alone, err := x.Alone(cfg, mix.Benchmarks[i])
@@ -186,9 +176,9 @@ func parallelFor(ctx context.Context, n int, fn func(i int) error) error {
 }
 
 // prepareAlone pre-computes alone baselines for every benchmark in the
-// mixes, in parallel, so subsequent RunMix calls hit the cache. ctx
-// cancellation stops scheduling new baseline runs.
-func (x *Context) prepareAlone(ctx context.Context, cfg sim.Config, mixes []workload.Mix) error {
+// mixes, in parallel, so subsequent RunMix calls hit the cache. Cancellation
+// stops scheduling new baseline runs.
+func (x *Context) prepareAlone(cfg sim.Config, mixes []workload.Mix) error {
 	seen := map[string]workload.Profile{}
 	for _, m := range mixes {
 		for _, p := range m.Benchmarks {
@@ -199,8 +189,53 @@ func (x *Context) prepareAlone(ctx context.Context, cfg sim.Config, mixes []work
 	for _, p := range seen {
 		ps = append(ps, p)
 	}
-	return parallelFor(ctx, len(ps), func(i int) error {
+	return parallelFor(x.ctx(), len(ps), func(i int) error {
 		_, err := x.Alone(cfg, ps[i])
 		return err
 	})
+}
+
+// variant names one scheduler configuration in a grid.
+type variant struct {
+	label string
+	make  func() memctrl.Policy
+}
+
+// schedVariants labels each named scheduler (sched.ByName) by its name. An
+// unknown name makes a nil policy, which sim.Run reports as an error.
+func schedVariants(names ...string) []variant {
+	vs := make([]variant, len(names))
+	for i, name := range names {
+		vs[i] = variant{label: name, make: func() memctrl.Policy {
+			p, _ := sched.ByName(name)
+			return p
+		}}
+	}
+	return vs
+}
+
+// runGrid runs every variant on every mix on cfg, in parallel, and returns
+// the results indexed [mix][variant].
+func runGrid(x *Context, cfg sim.Config, mixes []workload.Mix, variants []variant) ([][]MixResult, error) {
+	if err := x.prepareAlone(cfg, mixes); err != nil {
+		return nil, err
+	}
+	nv := len(variants)
+	results := make([][]MixResult, len(mixes))
+	for mi := range results {
+		results[mi] = make([]MixResult, nv)
+	}
+	err := parallelFor(x.ctx(), len(mixes)*nv, func(i int) error {
+		mi, vi := i/nv, i%nv
+		r, err := x.RunMix(cfg, mixes[mi], variants[vi].make())
+		if err != nil {
+			return err
+		}
+		results[mi][vi] = r
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
 }

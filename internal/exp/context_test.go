@@ -7,7 +7,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/dram"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -106,6 +108,89 @@ func TestAloneCacheHitsByChannelShape(t *testing.T) {
 	}
 	if other.CPU == first.CPU {
 		t.Error("8-core (2-channel) baseline identical to 1-channel; cache key too coarse")
+	}
+}
+
+// TestAloneCacheKeysWholeSystem: on one Context, configurations that differ
+// only in a memory-system parameter each get their own baseline.
+func TestAloneCacheKeysWholeSystem(t *testing.T) {
+	x := NewContext(true)
+	p := workload.MustByName("mcf")
+	base, err := x.Alone(x.Config(4), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutations := []struct {
+		name   string
+		mutate func(cfg *sim.Config)
+	}{
+		{"Geometry.Banks", func(cfg *sim.Config) { cfg.Geometry.Banks = 4 }},
+		{"Ctrl.ClosedPage", func(cfg *sim.Config) { cfg.Ctrl.ClosedPage = true }},
+		{"Timing.TREFI", func(cfg *sim.Config) { cfg.Timing.TREFI = 1560 }},
+		{"Timing", func(cfg *sim.Config) {
+			cfg.Timing = dram.DDR3_1333()
+			cfg.CPUCyclesPerDRAM = 6
+		}},
+	}
+	for _, m := range mutations {
+		cfg := x.Config(4)
+		m.mutate(&cfg)
+		n := x.alone.Len()
+		out, err := x.Alone(cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x.alone.Len() != n+1 {
+			t.Errorf("%s: cache grew %d -> %d, want a new entry", m.name, n, x.alone.Len())
+		}
+		if out == base {
+			t.Errorf("%s: baseline identical to the base system's; cache key too coarse", m.name)
+		}
+	}
+}
+
+// TestSweepReusesCachedBaselines: X1's base arm (8 banks) is T3's system, so
+// after T3 only the 4- and 16-bank arms add CSI baselines.
+func TestSweepReusesCachedBaselines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs quick-fidelity simulations")
+	}
+	x := NewContext(true)
+	for _, id := range []string{"T3", "X1"} {
+		n := x.alone.Len()
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(x); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		added := x.alone.Len() - n
+		want := len(workload.Benchmarks())
+		if id == "X1" {
+			want = 2 * len(workload.CaseStudyI().Benchmarks)
+		}
+		if added != want {
+			t.Errorf("%s added %d baselines, want %d", id, added, want)
+		}
+	}
+}
+
+// TestExperimentsHonorCanceledContext: every experiment that simulates
+// stops with the context's error when Ctx is already canceled.
+func TestExperimentsHonorCanceledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	analytic := map[string]bool{"F1": true, "F2": true, "F3": true, "T1": true, "T2": true}
+	for _, e := range All() {
+		if analytic[e.ID] {
+			continue
+		}
+		x := NewContext(true)
+		x.Ctx = ctx
+		if _, err := e.Run(x); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s with a canceled context returned %v, want context.Canceled", e.ID, err)
+		}
 	}
 }
 

@@ -9,7 +9,9 @@ import (
 // TestArtifactsDeterministicAcrossGOMAXPROCS: the JSON artifacts behind
 // cmd/experiments -quick -json must be byte-identical whether the worker
 // pool runs serially or 8-wide — parallelFor changes wall-clock, never
-// results. F5 fans out across schedulers and T3 across mixes, so both
+// results. F5 fans out across schedulers, T3 across mixes, X1 across
+// configurations sharing one baseline cache, and F11 across a mixes x
+// variants grid it also reads its case-study notes from, so all of them
 // exercise the pool with work that would expose ordering or shared-state
 // leaks between indexes.
 func TestArtifactsDeterministicAcrossGOMAXPROCS(t *testing.T) {
@@ -33,7 +35,7 @@ func TestArtifactsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		}
 		return data
 	}
-	for _, id := range []string{"F5", "T3"} {
+	for _, id := range []string{"F5", "T3", "X1", "F11"} {
 		serial := run(1, id)
 		wide := run(8, id)
 		if !bytes.Equal(serial, wide) {

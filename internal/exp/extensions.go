@@ -27,67 +27,40 @@ func init() {
 	register(Experiment{ID: "X7", Title: "[extension] DDR3-1333 vs DDR2-800 device generation", Run: runX7})
 }
 
+// csiGrid runs CSI under each variant on n configurations, the i-th made
+// by mutate(cfg, i) from the 4-core baseline, and returns the results
+// indexed [configuration][variant].
+func csiGrid(x *Context, n int, mutate func(cfg *sim.Config, i int), variants []variant) ([][]MixResult, error) {
+	out := make([][]MixResult, n)
+	for i := range out {
+		cfg := x.Config(4)
+		mutate(&cfg, i)
+		results, err := runGrid(x, cfg, []workload.Mix{workload.CaseStudyI()}, variants)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = results[0]
+	}
+	return out, nil
+}
+
 // sensitivity runs CSI under three representative schedulers for each
 // configuration mutation.
 func sensitivity(x *Context, id, title, param string, values []string,
 	mutate func(cfg *sim.Config, idx int)) (*Table, error) {
-	mix := workload.CaseStudyI()
-	t := &Table{ID: id, Title: title,
-		Header: []string{param, "scheduler", "unfairness", "Wspeedup", "Hspeedup", "AST/req"}}
-	scheds := []string{"FR-FCFS", "STFM", "PAR-BS"}
-	type row struct {
-		cells []string
-	}
-	rows := make([][]row, len(values))
-	err := parallelFor(x.ctx(), len(values), func(vi int) error {
-		// A private context per configuration: alone baselines depend on
-		// the memory system shape.
-		sub := NewContext(x.Quick)
-		sub.Seed = x.Seed
-		cfg := sub.Config(4)
-		mutate(&cfg, vi)
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
-		for _, p := range mix.Benchmarks {
-			if _, err := aloneWith(sub, cfg, p); err != nil {
-				return err
-			}
-		}
-		for _, name := range scheds {
-			pol, err := sched.ByName(name)
-			if err != nil {
-				return err
-			}
-			r, err := runMixWith(sub, cfg, mix, pol)
-			if err != nil {
-				return err
-			}
-			rows[vi] = append(rows[vi], row{cells: []string{
-				values[vi], name, f2(r.Unfair), f3(r.WSpeedup), f3(r.HSpeedup), f1(r.AvgAST),
-			}})
-		}
-		return nil
-	})
+	variants := schedVariants("FR-FCFS", "STFM", "PAR-BS")
+	results, err := csiGrid(x, len(values), mutate, variants)
 	if err != nil {
 		return nil, err
 	}
-	for _, rs := range rows {
-		for _, r := range rs {
-			t.AddRow(r.cells...)
+	t := &Table{ID: id, Title: title,
+		Header: []string{param, "scheduler", "unfairness", "Wspeedup", "Hspeedup", "AST/req"}}
+	for i, row := range results {
+		for vi, r := range row {
+			t.AddRow(values[i], variants[vi].label, f2(r.Unfair), f3(r.WSpeedup), f3(r.HSpeedup), f1(r.AvgAST))
 		}
 	}
 	return t, nil
-}
-
-// aloneWith and runMixWith bypass the context's channel-keyed alone cache,
-// which is insufficient when other system parameters vary.
-func aloneWith(x *Context, cfg sim.Config, p workload.Profile) (any, error) {
-	return x.Alone(cfg, p)
-}
-
-func runMixWith(x *Context, cfg sim.Config, mix workload.Mix, pol memctrl.Policy) (MixResult, error) {
-	return x.RunMix(cfg, mix, pol)
 }
 
 func runX1(x *Context) (*Table, error) {
@@ -148,11 +121,10 @@ func runX4(x *Context) (*Table, error) {
 		mk("fixed c=10", fixed(10)),
 		mk("adaptive [1,10]", adaptive),
 	}
-	t, err := sweepSet(x, 4, sweepMixes(x), variants)
+	t, _, err := sweep(x, "X4", "Adaptive Marking-Cap (Section 8.3.1 future work) vs fixed caps", variants)
 	if err != nil {
 		return nil, err
 	}
-	t.ID, t.Title = "X4", "Adaptive Marking-Cap (Section 8.3.1 future work) vs fixed caps"
 	t.AddNote("the adaptive cap tracks batch turnaround; it should sit between the best fixed caps without per-workload tuning")
 	return t, nil
 }
@@ -163,37 +135,28 @@ func runX5(x *Context) (*Table, error) {
 		{label: "NFQ-ST (start-time)", make: func() memctrl.Policy { return sched.NewNFQStartTime() }},
 		{label: "PAR-BS", make: func() memctrl.Policy { return sched.NewPARBSDefault() }},
 	}
-	t, err := sweepSet(x, 4, sweepMixes(x), variants)
+	t, results, err := sweep(x, "X5", "Start-time fair queueing (Rafique et al.) vs FQ-VFTF vs PAR-BS", variants)
 	if err != nil {
 		return nil, err
 	}
-	t.ID, t.Title = "X5", "Start-time fair queueing (Rafique et al.) vs FQ-VFTF vs PAR-BS"
-	if err := caseSlowdowns(x, t, workload.CaseStudyI(), variants); err != nil {
-		return nil, err
-	}
+	addSlowdowns(t, variants, results[0])
 	t.AddNote("start-time fair queueing improves NFQ's fairness as its authors report, but remains parallelism-unaware")
 	return t, nil
 }
 
 func runX6(x *Context) (*Table, error) {
-	mix := workload.CaseStudyI()
+	// 7.8 us at 2.5 ns/cycle is ~3120 cycles; sweep around it.
+	trefis := []int64{0, 3120, 1560}
+	results, err := csiGrid(x, len(trefis), func(cfg *sim.Config, i int) {
+		cfg.Timing.TREFI = trefis[i]
+	}, schedVariants("PAR-BS"))
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{ID: "X6", Title: "DRAM refresh impact on CSI (PAR-BS)",
 		Header: []string{"tREFI (DRAM cycles)", "unfairness", "Wspeedup", "Hspeedup", "refreshes"}}
-	// 7.8 us at 2.5 ns/cycle is ~3120 cycles; sweep around it.
-	for _, trefi := range []int64{0, 3120, 1560} {
-		sub := NewContext(x.Quick)
-		sub.Seed = x.Seed
-		cfg := sub.Config(4)
-		cfg.Timing.TREFI = trefi
-		for _, p := range mix.Benchmarks {
-			if _, err := sub.Alone(cfg, p); err != nil {
-				return nil, err
-			}
-		}
-		r, err := sub.RunMix(cfg, mix, sched.NewPARBSDefault())
-		if err != nil {
-			return nil, err
-		}
+	for i, trefi := range trefis {
+		r := results[i][0]
 		label := "off"
 		if trefi > 0 {
 			label = fmt.Sprintf("%d", trefi)
@@ -205,39 +168,22 @@ func runX6(x *Context) (*Table, error) {
 }
 
 func runX7(x *Context) (*Table, error) {
-	mix := workload.CaseStudyI()
-	t := &Table{ID: "X7", Title: "CSI on DDR2-800 (paper baseline) vs DDR3-1333",
-		Header: []string{"device", "scheduler", "unfairness", "Wspeedup", "Hspeedup", "AST/req (CPU cyc)"}}
-	devices := []struct {
-		name   string
-		mutate func(cfg *sim.Config)
-	}{
-		{"DDR2-800", func(*sim.Config) {}},
-		{"DDR3-1333", func(cfg *sim.Config) {
+	devices := []string{"DDR2-800", "DDR3-1333"}
+	variants := schedVariants("FR-FCFS", "PAR-BS")
+	results, err := csiGrid(x, len(devices), func(cfg *sim.Config, i int) {
+		if devices[i] == "DDR3-1333" {
 			cfg.Timing = dram.DDR3_1333()
 			cfg.CPUCyclesPerDRAM = 6
-		}},
-	}
-	for _, dvc := range devices {
-		sub := NewContext(x.Quick)
-		sub.Seed = x.Seed
-		cfg := sub.Config(4)
-		dvc.mutate(&cfg)
-		for _, p := range mix.Benchmarks {
-			if _, err := sub.Alone(cfg, p); err != nil {
-				return nil, err
-			}
 		}
-		for _, name := range []string{"FR-FCFS", "PAR-BS"} {
-			pol, err := sched.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			r, err := sub.RunMix(cfg, mix, pol)
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(dvc.name, name, f2(r.Unfair), f3(r.WSpeedup), f3(r.HSpeedup), f1(r.AvgAST))
+	}, variants)
+	if err != nil {
+		return nil, err
+	}
+	t := &Table{ID: "X7", Title: "CSI on DDR2-800 (paper baseline) vs DDR3-1333",
+		Header: []string{"device", "scheduler", "unfairness", "Wspeedup", "Hspeedup", "AST/req (CPU cyc)"}}
+	for i, row := range results {
+		for vi, r := range row {
+			t.AddRow(devices[i], variants[vi].label, f2(r.Unfair), f3(r.WSpeedup), f3(r.HSpeedup), f1(r.AvgAST))
 		}
 	}
 	t.AddNote("the faster device relieves contention; PAR-BS's fairness advantage persists across generations")

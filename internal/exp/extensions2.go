@@ -2,7 +2,6 @@ package exp
 
 import (
 	"repro/internal/memctrl"
-	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -22,47 +21,26 @@ func init() {
 func runX8(x *Context) (*Table, error) {
 	mix := workload.Figure9Workload()
 	cfg := x.Config(8)
-	if err := x.prepareAlone(x.ctx(), cfg, []workload.Mix{mix}); err != nil {
+	variants := schedVariants("FR-FCFS", "PAR-BS")
+	results, err := runGrid(x, cfg, []workload.Mix{mix}, variants)
+	if err != nil {
 		return nil, err
 	}
 	t := &Table{ID: "X8", Title: "8-core mixed workload: channel organization",
 		Header: []string{"organization", "scheduler", "unfairness", "Wspeedup", "Hspeedup", "WC lat"}}
-	for _, name := range []string{"FR-FCFS", "PAR-BS"} {
-		pol, err := sched.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		r, err := x.RunMix(cfg, mix, pol)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow("lock-step", name, f2(r.Unfair), f3(r.WSpeedup), f3(r.HSpeedup), d(r.WCLatency))
+	for vi, r := range results[0] {
+		t.AddRow("lock-step", variants[vi].label, f2(r.Unfair), f3(r.WSpeedup), f3(r.HSpeedup), d(r.WCLatency))
 	}
-	for _, name := range []string{"FR-FCFS", "PAR-BS"} {
-		name := name
-		res, err := sim.RunIndependent(cfg, mix, func() memctrl.Policy {
-			p, err := sched.ByName(name)
-			if err != nil {
-				panic(err)
-			}
-			return p
-		})
+	for _, v := range variants {
+		res, err := sim.RunIndependent(cfg, mix, v.make)
 		if err != nil {
 			return nil, err
 		}
-		cs := make([]metrics.Comparison, len(res.Threads))
-		for i, th := range res.Threads {
-			alone, err := x.Alone(cfg, mix.Benchmarks[i])
-			if err != nil {
-				return nil, err
-			}
-			cs[i] = metrics.Comparison{Alone: alone, Shared: th}
+		r, err := x.compare(cfg, mix, res)
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow("independent", name,
-			f2(metrics.Unfairness(cs)),
-			f3(metrics.WeightedSpeedup(cs)),
-			f3(metrics.HmeanSpeedup(cs)),
-			d(metrics.WorstCaseLatency(cs, cfg.CPUCyclesPerDRAM)))
+		t.AddRow("independent", v.label, f2(r.Unfair), f3(r.WSpeedup), f3(r.HSpeedup), d(r.WCLatency))
 	}
 	t.AddNote("alone baselines use the lock-step organization in both cases, so rows compare shared-mode behavior at equal bandwidth")
 	t.AddNote("independent channels split the scheduler's view: PAR-BS batches per channel, slightly weakening cross-bank ranking but also halving per-controller load")
@@ -79,14 +57,11 @@ func runX9(x *Context) (*Table, error) {
 		{label: "TDM-strict(64)", make: func() memctrl.Policy { return sched.NewStrictTDM(64) }},
 		{label: "PAR-BS", make: func() memctrl.Policy { return sched.NewPARBSDefault() }},
 	}
-	t, err := sweepSet(x, 4, sweepMixes(x), variants)
+	t, results, err := sweep(x, "X9", "Hard-QoS (TDM) and capped (FR-FCFS+Cap) baselines vs PAR-BS", variants)
 	if err != nil {
 		return nil, err
 	}
-	t.ID, t.Title = "X9", "Hard-QoS (TDM) and capped (FR-FCFS+Cap) baselines vs PAR-BS"
-	if err := caseSlowdowns(x, t, workload.CaseStudyI(), variants); err != nil {
-		return nil, err
-	}
+	addSlowdowns(t, variants, results[0])
 	t.AddNote("the paper's Section 9 notes hard real-time controllers trade unacceptable throughput for guarantees; strict TDM shows that cost, while PAR-BS reaches similar fairness without it")
 	return t, nil
 }

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -18,33 +17,19 @@ func init() {
 // scheduling exploits them) against closed-page (every access
 // auto-precharges unless a queued request wants the row).
 func runX10(x *Context) (*Table, error) {
-	mix := workload.CaseStudyI()
+	labels := []string{"open-page", "closed-page"}
+	variants := schedVariants("FR-FCFS", "PAR-BS")
+	results, err := csiGrid(x, len(labels), func(cfg *sim.Config, i int) {
+		cfg.Ctrl.ClosedPage = labels[i] == "closed-page"
+	}, variants)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{ID: "X10", Title: "CSI under open-page vs closed-page controllers",
 		Header: []string{"page policy", "scheduler", "unfairness", "Wspeedup", "Hspeedup", "row-hit rate"}}
-	for _, closed := range []bool{false, true} {
-		sub := NewContext(x.Quick)
-		sub.Seed = x.Seed
-		cfg := sub.Config(4)
-		cfg.Ctrl.ClosedPage = closed
-		label := "open-page"
-		if closed {
-			label = "closed-page"
-		}
-		for _, p := range mix.Benchmarks {
-			if _, err := sub.Alone(cfg, p); err != nil {
-				return nil, err
-			}
-		}
-		for _, name := range []string{"FR-FCFS", "PAR-BS"} {
-			pol, err := sched.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			r, err := sub.RunMix(cfg, mix, pol)
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(label, name, f2(r.Unfair), f3(r.WSpeedup), f3(r.HSpeedup), f3(r.Raw.DRAM.RowHitRate()))
+	for i, row := range results {
+		for vi, r := range row {
+			t.AddRow(labels[i], variants[vi].label, f2(r.Unfair), f3(r.WSpeedup), f3(r.HSpeedup), f3(r.Raw.DRAM.RowHitRate()))
 		}
 	}
 	t.AddNote("closed page trades the streamers' row hits for faster conflicts; it also blunts FR-FCFS's bank-capture unfairness — batching gets the same effect without losing the hits")

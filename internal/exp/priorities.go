@@ -68,26 +68,16 @@ func runF14(x *Context) (*Table, error) {
 }
 
 func prioRows(x *Context, t *Table, scenario string, mix workload.Mix, variants []variant) error {
-	cfg := x.Config(len(mix.Benchmarks))
-	if err := x.prepareAlone(x.ctx(), cfg, []workload.Mix{mix}); err != nil {
-		return err
-	}
-	rows := make([][]string, len(variants))
-	err := parallelFor(x.ctx(), len(variants), func(i int) error {
-		r, err := x.RunMix(cfg, mix, variants[i].make())
-		if err != nil {
-			return err
-		}
-		row := []string{scenario, variants[i].label}
-		for _, c := range r.Cs {
-			row = append(row, fmt.Sprintf("%.2f", c.MemSlowdown()))
-		}
-		rows[i] = row
-		return nil
-	})
+	results, err := runGrid(x, x.Config(len(mix.Benchmarks)), []workload.Mix{mix}, variants)
 	if err != nil {
 		return err
 	}
-	t.Rows = append(t.Rows, rows...)
+	for vi, r := range results[0] {
+		row := []string{scenario, variants[vi].label}
+		for _, c := range r.Cs {
+			row = append(row, fmt.Sprintf("%.2f", c.MemSlowdown()))
+		}
+		t.AddRow(row...)
+	}
 	return nil
 }

@@ -20,84 +20,38 @@ func init() {
 	register(Experiment{ID: "F13", Title: "Effect of within-batch ranking scheme", Run: runF13})
 }
 
-// variant names one scheduler configuration in a sweep.
-type variant struct {
-	label string
-	make  func() memctrl.Policy
-}
-
-// sweepSet evaluates each variant over the mixes and returns per-variant
-// GMEAN (unfairness, weighted, hmean).
-func sweepSet(x *Context, cores int, mixes []workload.Mix, variants []variant) (*Table, error) {
-	cfg := x.Config(cores)
-	if err := x.prepareAlone(x.ctx(), cfg, mixes); err != nil {
-		return nil, err
-	}
-	type cell struct{ unf, wsp, hsp []float64 }
-	cells := make([]cell, len(variants))
-	type job struct{ vi, mi int }
-	var jobs []job
-	for vi := range variants {
-		for mi := range mixes {
-			jobs = append(jobs, job{vi, mi})
-		}
-	}
-	results := make([][]MixResult, len(variants))
-	for i := range results {
-		results[i] = make([]MixResult, len(mixes))
-	}
-	err := parallelFor(x.ctx(), len(jobs), func(i int) error {
-		j := jobs[i]
-		r, err := x.RunMix(cfg, mixes[j.mi], variants[j.vi].make())
-		if err != nil {
-			return err
-		}
-		results[j.vi][j.mi] = r
-		return nil
-	})
+// sweep evaluates each variant over sweepMixes on the 4-core system and
+// tabulates per-variant GMEAN (unfairness, weighted, hmean). It also returns
+// the results indexed [mix][variant]; rows 0 and 1 are CSI and CSII.
+func sweep(x *Context, id, title string, variants []variant) (*Table, [][]MixResult, error) {
+	results, err := runGrid(x, x.Config(4), sweepMixes(x), variants)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	t := &Table{Header: []string{"variant", "GMEAN unfairness", "GMEAN Wspeedup", "GMEAN Hspeedup"}}
+	t := &Table{ID: id, Title: title, Header: []string{"variant", "GMEAN unfairness", "GMEAN Wspeedup", "GMEAN Hspeedup"}}
 	for vi, v := range variants {
-		for mi := range mixes {
-			r := results[vi][mi]
-			cells[vi].unf = append(cells[vi].unf, r.Unfair)
-			cells[vi].wsp = append(cells[vi].wsp, r.WSpeedup)
-			cells[vi].hsp = append(cells[vi].hsp, r.HSpeedup)
+		var unf, wsp, hsp []float64
+		for _, row := range results {
+			r := row[vi]
+			unf = append(unf, r.Unfair)
+			wsp = append(wsp, r.WSpeedup)
+			hsp = append(hsp, r.HSpeedup)
 		}
-		t.AddRow(v.label, f2(stats.GeoMean(cells[vi].unf)), f3(stats.GeoMean(cells[vi].wsp)), f3(stats.GeoMean(cells[vi].hsp)))
+		t.AddRow(v.label, f2(stats.GeoMean(unf)), f3(stats.GeoMean(wsp)), f3(stats.GeoMean(hsp)))
 	}
-	return t, nil
+	return t, results, nil
 }
 
-// caseSlowdowns runs one mix under each variant and formats per-thread
-// slowdowns as note lines.
-func caseSlowdowns(x *Context, t *Table, mix workload.Mix, variants []variant) error {
-	cfg := x.Config(len(mix.Benchmarks))
-	if err := x.prepareAlone(x.ctx(), cfg, []workload.Mix{mix}); err != nil {
-		return err
-	}
-	lines := make([]string, len(variants))
-	err := parallelFor(x.ctx(), len(variants), func(i int) error {
-		r, err := x.RunMix(cfg, mix, variants[i].make())
-		if err != nil {
-			return err
-		}
-		s := fmt.Sprintf("%s [%s]:", mix.Name, variants[i].label)
+// addSlowdowns notes each variant's per-thread memory slowdowns on one mix,
+// given that mix's results in variant order.
+func addSlowdowns(t *Table, variants []variant, row []MixResult) {
+	for vi, r := range row {
+		s := fmt.Sprintf("%s [%s]:", r.Mix.Name, variants[vi].label)
 		for j, c := range r.Cs {
-			s += fmt.Sprintf(" %s=%.2f", mix.Benchmarks[j].Name, c.MemSlowdown())
+			s += fmt.Sprintf(" %s=%.2f", r.Mix.Benchmarks[j].Name, c.MemSlowdown())
 		}
-		lines[i] = s
-		return nil
-	})
-	if err != nil {
-		return err
+		t.AddNote("%s", s)
 	}
-	for _, l := range lines {
-		t.AddNote("%s", l)
-	}
-	return nil
 }
 
 // sweepMixes is the workload set used by the Section 8.3 sweeps.
@@ -126,17 +80,12 @@ func runF11(x *Context) (*Table, error) {
 	noCap.MarkingCap = 0
 	variants = append(variants, parbsVariant("no-c", noCap))
 
-	t, err := sweepSet(x, 4, sweepMixes(x), variants)
+	t, results, err := sweep(x, "F11", "PAR-BS fairness and throughput vs Marking-Cap (4-core)", variants)
 	if err != nil {
 		return nil, err
 	}
-	t.ID, t.Title = "F11", "PAR-BS fairness and throughput vs Marking-Cap (4-core)"
-	if err := caseSlowdowns(x, t, workload.CaseStudyI(), variants); err != nil {
-		return nil, err
-	}
-	if err := caseSlowdowns(x, t, workload.CaseStudyII(), variants); err != nil {
-		return nil, err
-	}
+	addSlowdowns(t, variants, results[0])
+	addSlowdowns(t, variants, results[1])
 	t.AddNote("paper: c=1 gives the worst throughput (destroys locality); c=5 is the sweet spot; very large caps re-introduce FR-FCFS-like unfairness")
 	return t, nil
 }
@@ -158,17 +107,12 @@ func runF12(x *Context) (*Table, error) {
 	variants = append(variants, parbsVariant("eslot", eslot))
 	variants = append(variants, parbsVariant("full", core.DefaultOptions()))
 
-	t, err := sweepSet(x, 4, sweepMixes(x), variants)
+	t, results, err := sweep(x, "F12", "Batching choice: time-based static vs empty-slot vs full (4-core)", variants)
 	if err != nil {
 		return nil, err
 	}
-	t.ID, t.Title = "F12", "Batching choice: time-based static vs empty-slot vs full (4-core)"
-	if err := caseSlowdowns(x, t, workload.CaseStudyI(), variants); err != nil {
-		return nil, err
-	}
-	if err := caseSlowdowns(x, t, workload.CaseStudyII(), variants); err != nil {
-		return nil, err
-	}
+	addSlowdowns(t, variants, results[0])
+	addSlowdowns(t, variants, results[1])
 	t.AddNote("paper: small static durations degenerate to rank/row-hit-first (unfair); the static sweet spot is 3200 cycles; full batching is best on average")
 	return t, nil
 }
@@ -193,22 +137,20 @@ func rankVariants(x *Context) []variant {
 
 func runF13(x *Context) (*Table, error) {
 	variants := rankVariants(x)
-	t, err := sweepSet(x, 4, sweepMixes(x), variants)
+	t, _, err := sweep(x, "F13", "Within-batch ranking schemes vs STFM (4-core)", variants)
 	if err != nil {
-		return nil, err
-	}
-	t.ID, t.Title = "F13", "Within-batch ranking schemes vs STFM (4-core)"
-	lbm := workload.CaseStudyIII()
-	if err := caseSlowdowns(x, t, lbm, variants); err != nil {
 		return nil, err
 	}
 	matlab4, err := workload.FourCopies("matlab")
 	if err != nil {
 		return nil, err
 	}
-	if err := caseSlowdowns(x, t, matlab4, variants); err != nil {
+	results, err := runGrid(x, x.Config(4), []workload.Mix{workload.CaseStudyIII(), matlab4}, variants)
+	if err != nil {
 		return nil, err
 	}
+	addSlowdowns(t, variants, results[0])
+	addSlowdowns(t, variants, results[1])
 	t.AddNote("paper: random/round-robin lose 5.7%%/9.8%% weighted/hmean vs Max-Total; no-rank FR-FCFS loses 4.7%%/10.7%%; ranking matters for 4x lbm (high BLP), not for 4x matlab")
 	return t, nil
 }

@@ -3,10 +3,7 @@ package parbs
 import (
 	"context"
 	"fmt"
-	"sync"
 
-	"repro/internal/cpu"
-	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -63,72 +60,17 @@ type Progress struct {
 // (dominant) baseline cost on every run after the first. Safe for
 // concurrent use by multiple simultaneous runs.
 type AloneCache struct {
-	mu sync.Mutex
-	m  map[aloneCacheKey]metrics.ThreadOutcome
-}
-
-// aloneCacheKey captures everything an alone run's outcome depends on: the
-// benchmark and every configuration field that survives sim.RunAlone's
-// single-core normalization. Threads is normalized to 1 so systems that
-// differ only in core count (but share a memory-system shape) hit the same
-// entries.
-type aloneCacheKey struct {
-	benchmark string
-	// independent distinguishes Independent-channel baselines (sharded
-	// engine, per-channel FR-FCFS) from Lockstep ones.
-	independent bool
-	timing      dram.Timing
-	geometry    dram.Geometry
-	ctrl        memctrl.Config
-	core        cpu.Config
-	ratio       int64
-	warmup      int64
-	measure     int64
-	overhead    int64
-	seed        int64
+	c sim.AloneCache
 }
 
 // NewAloneCache returns an empty baseline cache.
 func NewAloneCache() *AloneCache {
-	return &AloneCache{m: make(map[aloneCacheKey]metrics.ThreadOutcome)}
+	return new(AloneCache)
 }
 
 // Len reports the number of cached baselines.
 func (c *AloneCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-func aloneKeyFor(cfg sim.Config, benchmark string, independent bool) aloneCacheKey {
-	ctrl := cfg.Ctrl
-	ctrl.Threads = 1
-	return aloneCacheKey{
-		benchmark:   benchmark,
-		independent: independent,
-		timing:      cfg.Timing,
-		geometry:    cfg.Geometry,
-		ctrl:        ctrl,
-		core:        cfg.Core,
-		ratio:       cfg.CPUCyclesPerDRAM,
-		warmup:      cfg.WarmupCPUCycles,
-		measure:     cfg.MeasureCPUCycles,
-		overhead:    cfg.CompletionOverheadCPU,
-		seed:        cfg.Seed,
-	}
-}
-
-func (c *AloneCache) get(cfg sim.Config, benchmark string, independent bool) (metrics.ThreadOutcome, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out, ok := c.m[aloneKeyFor(cfg, benchmark, independent)]
-	return out, ok
-}
-
-func (c *AloneCache) put(cfg sim.Config, benchmark string, independent bool, out metrics.ThreadOutcome) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[aloneKeyFor(cfg, benchmark, independent)] = out
+	return c.c.Len()
 }
 
 // WithAloneCache shares alone-run baselines across runs through c. Runs
@@ -235,14 +177,17 @@ func RunContext(ctx context.Context, sys System, w Workload, s Scheduler, opts .
 			})
 		}
 	}
-	// phase mutates between simulation phases; the progress adapter reads
-	// it at delivery time.
-	phase := "measure"
+	// aloneOf names the benchmark whose baseline is being looked up, empty
+	// during the shared run; the progress adapter reads it at delivery time.
+	var aloneOf string
 	if rc.progress != nil {
 		fn := rc.progress
 		cfg.Progress = func(p sim.Progress) {
-			ph := phase
-			if ph == "measure" && p.Warmup {
+			ph := "measure"
+			switch {
+			case aloneOf != "":
+				ph = "alone:" + aloneOf
+			case p.Warmup:
 				ph = "warmup"
 			}
 			fn(Progress{
@@ -271,32 +216,19 @@ func RunContext(ctx context.Context, sys System, w Workload, s Scheduler, opts .
 		rc.tracer.finish()
 	}
 	// Alone baselines: probe and command log are shared-run-only (RunAlone
-	// strips them); context and progress carry through.
-	alone := map[string]metrics.ThreadOutcome{}
+	// strips them); context and progress carry through to cache misses.
+	cache := rc.aloneCache
+	if cache == nil {
+		cache = NewAloneCache()
+	}
 	var cs []metrics.Comparison
 	aloneMCPI := make([]float64, len(res.Threads))
 	rep := Report{Scheduler: res.Policy, BusUtilization: res.BusUtilization()}
 	for i, th := range res.Threads {
-		base, ok := alone[th.Benchmark]
-		if !ok && rc.aloneCache != nil {
-			if base, ok = rc.aloneCache.get(cfg, th.Benchmark, independent); ok {
-				alone[th.Benchmark] = base
-			}
-		}
-		if !ok {
-			phase = "alone:" + th.Benchmark
-			if independent {
-				base, err = sim.RunAloneIndependent(cfg, w.mix.Benchmarks[i])
-			} else {
-				base, err = sim.RunAlone(cfg, w.mix.Benchmarks[i])
-			}
-			if err != nil {
-				return Report{}, err
-			}
-			alone[th.Benchmark] = base
-			if rc.aloneCache != nil {
-				rc.aloneCache.put(cfg, th.Benchmark, independent, base)
-			}
+		aloneOf = th.Benchmark
+		base, err := cache.c.Alone(cfg, w.mix.Benchmarks[i], !independent)
+		if err != nil {
+			return Report{}, err
 		}
 		aloneMCPI[i] = base.CPU.MCPI()
 		c := metrics.Comparison{Alone: base, Shared: th}
