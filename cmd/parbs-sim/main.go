@@ -34,9 +34,13 @@ import (
 	"repro/internal/workload"
 )
 
+// schedulers lists every name sched.ByName accepts: the paper's five, then
+// the extras.
+var schedulers = strings.Join(append(sched.Names(), sched.ExtraNames()...), ", ")
+
 func main() {
 	var (
-		schedName = flag.String("sched", "PAR-BS", "scheduler: "+strings.Join(sched.Names(), ", "))
+		schedName = flag.String("sched", "PAR-BS", "scheduler: "+schedulers)
 		mixSpec   = flag.String("mix", "CSI", "named mix (CSI, CSII, CSIII, F9) or comma-separated benchmarks")
 		cycles    = flag.Int64("cycles", 2_000_000, "measured CPU cycles")
 		warmup    = flag.Int64("warmup", -1, "warmup CPU cycles discarded from statistics (-1 = paper default)")
@@ -51,7 +55,6 @@ func main() {
 		eventFile = flag.String("trace-events", "", "write a JSONL lifecycle event log (schema "+trace.Schema+", for parbs-trace analyze) to this file")
 		maxEvents = flag.Int("trace-max-events", 0, "cap buffered trace events (default 2^20)")
 		timeout   = flag.Duration("timeout", 0, "wall-clock deadline for the whole run, e.g. 30s (0 = none)")
-		ticked    = flag.Bool("ticked", false, "force the legacy one-cycle-per-iteration run loop (disables next-event cycle skipping)")
 		channels  = flag.Int("channels", 0, "DRAM channels (0 scales with cores as in the paper: 1/2/4 for 4/8/16)")
 		chanMode  = flag.String("channel-mode", "", "channel organization: "+strings.Join(parbs.ChannelModeNames(), ", ")+" (default lockstep, the paper's ganged organization)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run (pprof format) to this file")
@@ -60,7 +63,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		fmt.Println("schedulers:", strings.Join(sched.Names(), ", "))
+		fmt.Println("schedulers:", schedulers)
 		fmt.Println("named mixes: CSI, CSII, CSIII, F9")
 		fmt.Println("benchmarks (Table 3):")
 		for _, p := range workload.Benchmarks() {
@@ -80,7 +83,6 @@ func main() {
 		cfg.WarmupCPUCycles = *warmup
 	}
 	cfg.Seed = *seed
-	cfg.ForceTicked = *ticked
 	if *timeout > 0 {
 		// The deadline is the RunContext-style cooperative one: the shared
 		// run and every alone baseline poll it at their epoch checkpoints.

@@ -9,7 +9,7 @@ package memctrl
 // costs its population, not its capacity.
 //
 // The controller keeps three: readBanks and writeBanks (banks whose read or
-// write queue is non-empty) drive bestCandidate and nextIssueAt, and readers
+// write queue is non-empty) drive bestCandidate, and readers
 // (threads with at least one buffered read) lets STFM charge interference to
 // waiting threads only. Each bit flips exactly where its count crosses 0↔1.
 type bitmask []uint64

@@ -39,11 +39,11 @@ import (
 //
 // The cache changes no observable behavior: winners equal the full rescan's
 // (Better is a strict total order), and the failure bounds feeding the idle
-// cache are computed from the same per-class facts the rescan derives, so
-// command streams are byte-identical with the cache in use or bypassed
-// together with the whole bank index (Config.ReferenceScan) — pinned by the
-// differential suites in internal/sim — and each scan is asserted against
-// a forced rebuild under the parbsdebug build tag. Policies without an
+// cache are computed from the same per-class facts the rescan derives.
+// Under the parbsdebug build tag every scan is asserted against a forced
+// rebuild and against the flat O(buffer) reference scan, which shares no
+// selection code with the bank index (audit_on.go); internal/sim pins the
+// command streams to digests of that reference. Policies without an
 // OrderEpoch (custom schedulers) rebuild their read entries every scan.
 
 // bankCand is one bank's cached scan result for one direction (reads or
@@ -168,15 +168,15 @@ func (c *Controller) rebuild(e *bankCand, q *reqList, openRow int64, isWrite boo
 // so a scan costs the occupied banks, not the geometry — and per bank it
 // performs one readiness check, one ScanBank legality probe, and — when the
 // bank's cached entry is fresh — O(1) class-winner comparisons; stale
-// entries are rebuilt with a single queue walk. useCache false (the
-// cache-off differential arm, and policies without an OrderEpoch) rebuilds
-// every bank on every scan, which runs the identical selection and bound
-// logic on always-fresh entries.
+// entries are rebuilt with a single queue walk. useCache false (policies
+// without an OrderEpoch, and the audit's forced rebuild) rebuilds every bank
+// on every scan, which runs the identical selection and bound logic on
+// always-fresh entries.
 //
 // Every registered policy's Better is a strict total order (ties break on
 // the unique request ID), so the winner is independent of enumeration order
 // and both cache arms select exactly what the flat reference scan would —
-// pinned by the command-stream equivalence tests in internal/sim.
+// checked at every scan by the parbsdebug audit.
 //
 // The third result is a lower bound on the next cycle at which any command
 // for this queue set could become legal, valid until the next enqueue or
@@ -203,10 +203,6 @@ func (c *Controller) bestCandidate(queues []reqList, mask bitmask, cache []bankC
 	for w, word := range mask {
 		for ; word != 0; word &= word - 1 {
 			b := w<<6 | bits.TrailingZeros64(word)
-			q := &queues[b]
-			if q.n == 0 {
-				continue // only under the audit's all-banks mask
-			}
 			if br := c.dev.BankReadyAt(b); now < br {
 				if br < bound {
 					bound = br
@@ -216,7 +212,7 @@ func (c *Controller) bestCandidate(queues []reqList, mask bitmask, cache []bankC
 			openRow, tAct, tCAS, tPre := c.dev.ScanBank(b, isWrite)
 			e := &cache[b]
 			if !useCache || !e.valid || e.openRow != openRow || (!isWrite && e.epoch != epoch) {
-				c.rebuild(e, q, openRow, isWrite, elig)
+				c.rebuild(e, &queues[b], openRow, isWrite, elig)
 				e.epoch = epoch
 				e.valid = true
 			}
@@ -289,8 +285,6 @@ func (c *Controller) bestCandidate(queues []reqList, mask bitmask, cache []bankC
 			}
 		}
 	}
-	if useCache {
-		auditCandidateCache(c, queues, mask, now, isWrite, best, found, bound)
-	}
+	auditScan(c, queues, mask, cache, useCache, now, isWrite, best, found, bound)
 	return best, found, bound
 }

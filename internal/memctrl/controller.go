@@ -27,13 +27,6 @@ type Config struct {
 	// same row. The paper's baseline (and default here) is open-page,
 	// which row-hit-first scheduling exploits.
 	ClosedPage bool
-	// ReferenceScan disables the bank-indexed scheduling fast path, its
-	// per-bank candidate cache (candcache.go) and the idle skip, and falls
-	// back to the original O(buffer) candidate scan every cycle. The two
-	// paths share no selection code and must produce byte-identical
-	// command streams; the equivalence tests in internal/sim pin that.
-	// Reference only — slow.
-	ReferenceScan bool
 	// Channel identifies this controller's channel in a sharded
 	// multi-channel system; it is stamped onto CommandEvents and trace
 	// events so merged per-channel streams stay attributable. 0 for
@@ -251,16 +244,16 @@ type Controller struct {
 	// enqueues counts accepted requests; see Enqueues.
 	enqueues int64
 	// idleUntil caches the earliest cycle at which any command could become
-	// issuable, set after a scan cycle found nothing to issue. Until then the
-	// Tick fast path skips candidate enumeration entirely. It is a pure
-	// device-legality bound (nextIssueAt) and therefore ignores policy
-	// eligibility — conservative, since eligibility can only remove
-	// candidates, never make an illegal command legal. Invalidated (zeroed)
-	// by anything that can create a new candidate or change device state:
-	// enqueues and command issues (including refresh). Under
-	// Config.ReferenceScan the read scan bounds at the current cycle, so
-	// the cache never skips one and the reference path stays a true
-	// per-cycle oracle for the equivalence tests.
+	// issuable, set after a scan cycle found nothing to issue: the min of
+	// the failed read and write scans' own bounds (bestCandidate), never a
+	// second pass. Until then the Tick fast path skips candidate
+	// enumeration entirely, and NextEventAt takes it as the device term. A
+	// bank whose eligibility-filtered request could become eligible while
+	// its command class is legal bounds the scan at the current cycle, so
+	// the cache is not armed past it. Invalidated (zeroed) by anything that
+	// can create a new candidate or change device state: enqueues and
+	// command issues (including refresh). The parbsdebug audit checks every
+	// skipped tick against the flat reference scan (audit_on.go).
 	idleUntil int64
 }
 
@@ -555,6 +548,7 @@ func (c *Controller) Tick(now int64) {
 	// unchanged over the window (enqueues invalidate), so the drain
 	// hysteresis below would not flip either.
 	if now < c.idleUntil {
+		auditIdleSkip(c, now)
 		return
 	}
 
@@ -684,24 +678,12 @@ func (c *Controller) flushBLP(thread int) {
 // lower bound on the next cycle at which a read-side command could become
 // legal (see bestCandidate).
 func (c *Controller) issueRead(now int64) (bool, int64) {
-	best, ok, bound := c.bestReadCandidate(now)
+	best, ok, bound := c.bestCandidate(c.bankReads, c.readBanks, c.readCache, c.cacheReads, now, false)
 	if !ok {
 		return false, bound
 	}
 	c.issue(best, now)
 	return true, 0
-}
-
-// bestReadCandidate enumerates ready commands for buffered reads and returns
-// the policy's most-preferred one.
-func (c *Controller) bestReadCandidate(now int64) (Candidate, bool, int64) {
-	if c.cfg.ReferenceScan {
-		best, ok := c.bestReadCandidateScan(now)
-		// Bounding at now keeps the idle cache from skipping any cycle:
-		// the reference path stays a pure per-cycle oracle.
-		return best, ok, now
-	}
-	return c.bestCandidate(c.bankReads, c.readBanks, c.readCache, c.cacheReads, now, false)
 }
 
 // better orders candidates: the attached policy for reads, FR-FCFS for
@@ -713,37 +695,6 @@ func (c *Controller) better(a, b Candidate, isWrite bool) bool {
 	return c.policy.Better(a, b)
 }
 
-// bestReadCandidateScan is the pre-index O(buffer) reference scan, retained
-// for the equivalence tests (Config.ReferenceScan).
-func (c *Controller) bestReadCandidateScan(now int64) (Candidate, bool) {
-	var best Candidate
-	found := false
-	elig, hasElig := c.policy.(EligibilityPolicy)
-	for r := c.reads.head; r != nil; r = r.NextBuffered() {
-		if hasElig && !elig.Eligible(r) {
-			continue
-		}
-		cand, ok := c.candidateFor(r, now)
-		if !ok {
-			continue
-		}
-		if !found || c.policy.Better(cand, best) {
-			best = cand
-			found = true
-		}
-	}
-	return best, found
-}
-
-func (c *Controller) candidateFor(r *Request, now int64) (Candidate, bool) {
-	state := c.dev.RowStateOf(r.Loc.Bank, r.Loc.Row)
-	cmd := c.dev.NextCommand(r.Loc.Bank, r.Loc.Row, r.IsWrite)
-	if !c.dev.CanIssue(now, cmd, r.Loc.Bank, r.Loc.Row) {
-		return Candidate{}, false
-	}
-	return Candidate{Req: r, Cmd: cmd, RowState: state}, true
-}
-
 // issueWrite drains the write buffer with a fixed FR-FCFS order. Like
 // issueRead it reports whether a command issued and, on failure, a lower
 // bound on the next cycle a write-side command could become legal (an empty
@@ -752,38 +703,14 @@ func (c *Controller) issueWrite(now int64) (bool, int64) {
 	if c.writes.n == 0 {
 		return false, int64(math.MaxInt64)
 	}
-	var best Candidate
-	var found bool
-	bound := now
-	if c.cfg.ReferenceScan {
-		best, found = c.issueWriteScan(now)
-	} else {
-		// The write order (writeBetter) is time-invariant, so the write
-		// cache needs no policy epoch.
-		best, found, bound = c.bestCandidate(c.bankWrites, c.writeBanks, c.writeCache, true, now, true)
-	}
+	// The write order (writeBetter) is time-invariant, so the write cache
+	// needs no policy epoch.
+	best, found, bound := c.bestCandidate(c.bankWrites, c.writeBanks, c.writeCache, true, now, true)
 	if !found {
 		return false, bound
 	}
 	c.issue(best, now)
 	return true, 0
-}
-
-// issueWriteScan is the pre-index reference scan over the write buffer.
-func (c *Controller) issueWriteScan(now int64) (Candidate, bool) {
-	var best Candidate
-	found := false
-	for r := c.writes.head; r != nil; r = r.NextBuffered() {
-		cand, ok := c.candidateFor(r, now)
-		if !ok {
-			continue
-		}
-		if !found || writeBetter(cand, best) {
-			best = cand
-			found = true
-		}
-	}
-	return best, found
 }
 
 // writeBetter is FR-FCFS: row-hit CAS first, then oldest.
@@ -844,21 +771,22 @@ func (c *Controller) issue(cand Candidate, now int64) {
 // the closed-page policy when no other buffered request wants the row.
 func (c *Controller) issueCAS(cand Candidate, now int64) int64 {
 	r := cand.Req
-	if c.cfg.ClosedPage && !c.rowWanted(r) {
-		return c.dev.IssueAutoPrecharge(now, cand.Cmd, r.Loc.Bank, r.Loc.Row)
+	if c.cfg.ClosedPage {
+		wanted := c.rowWanted(r)
+		auditRowWanted(c, r, wanted)
+		if !wanted {
+			return c.dev.IssueAutoPrecharge(now, cand.Cmd, r.Loc.Bank, r.Loc.Row)
+		}
 	}
 	return c.dev.Issue(now, cand.Cmd, r.Loc.Bank, r.Loc.Row)
 }
 
 // rowWanted reports whether any other buffered request targets req's row.
 // req itself is still buffered (it is removed only after its CAS is chosen),
-// hence the self-exclusion. The fast path walks only req's bank queues; it
-// runs once per CAS under the closed-page policy and never on the default
-// open-page path, so it does not merit an index of its own.
+// hence the self-exclusion. It walks only req's bank queues; it runs once
+// per CAS under the closed-page policy and never on the default open-page
+// path, so it does not merit an index of its own.
 func (c *Controller) rowWanted(req *Request) bool {
-	if c.cfg.ReferenceScan {
-		return c.rowWantedScan(req)
-	}
 	rq := &c.bankReads[req.Loc.Bank]
 	for r := rq.head; r != nil; r = rq.next(r) {
 		if r != req && r.Loc.Row == req.Loc.Row {
@@ -868,21 +796,6 @@ func (c *Controller) rowWanted(req *Request) bool {
 	wq := &c.bankWrites[req.Loc.Bank]
 	for r := wq.head; r != nil; r = wq.next(r) {
 		if r != req && r.Loc.Row == req.Loc.Row {
-			return true
-		}
-	}
-	return false
-}
-
-// rowWantedScan is the pre-index O(buffer) reference implementation.
-func (c *Controller) rowWantedScan(req *Request) bool {
-	for r := c.reads.head; r != nil; r = r.NextBuffered() {
-		if r != req && r.Loc.Bank == req.Loc.Bank && r.Loc.Row == req.Loc.Row {
-			return true
-		}
-	}
-	for r := c.writes.head; r != nil; r = r.NextBuffered() {
-		if r != req && r.Loc.Bank == req.Loc.Bank && r.Loc.Row == req.Loc.Row {
 			return true
 		}
 	}

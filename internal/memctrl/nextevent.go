@@ -1,12 +1,5 @@
 package memctrl
 
-import (
-	"math"
-	"math/bits"
-
-	"repro/internal/dram"
-)
-
 // NextEventer is an optional extension of Policy for the next-event
 // simulation clock. Implementing it is a declaration that the policy's
 // OnCycle hook is inert between events: skipping OnCycle calls over a span
@@ -39,6 +32,12 @@ type NextEventer interface {
 // to the returned cycle, provided nothing outside the controller (a core
 // enqueue) happens earlier.
 //
+// The device term is the idle cache the failed scan armed (idleUntil), the
+// bound that scan computed as it visited every bank — there is no second
+// pass. When the cache is not armed past now — the scan was bounded at now
+// by an eligibility-filtered bank (TDM-strict), or no scan has run since the
+// last issue — the term is now+1.
+//
 // The bound never overshoots a real event — see DESIGN.md §13 for the
 // contract — but may undershoot (eligibility-gated policies, refresh
 // sequencing), in which case the caller re-evaluates and the clamp to now+1
@@ -67,74 +66,11 @@ func (c *Controller) NextEventAt(now int64) int64 {
 			next = e
 		}
 	}
-	// Reuse the idle cache when the scan that just failed armed it; it is the
-	// same nextIssueAt bound, computed once instead of on every skip attempt.
-	t := c.idleUntil
-	if t <= now {
-		t = c.nextIssueAt()
-	}
-	if t < next {
+	if t := max(c.idleUntil, now+1); t < next {
 		next = t
 	}
 	if next <= now {
 		next = now + 1
-	}
-	return next
-}
-
-// nextIssueAt returns a lower bound on the earliest cycle at which any
-// buffered request's next command becomes device-legal, by walking the
-// request queues of the banks in the non-empty-bank masks. It is
-// conservative in one direction only: when the open row's demand is
-// all-read or all-write the bound still considers both CAS classes, which
-// can only make it earlier. It runs only on the rare NextEventAt calls where
-// the scan-byproduct idle cache is not armed, so the queue walk is not hot.
-func (c *Controller) nextIssueAt() int64 {
-	next := int64(math.MaxInt64)
-	for w := range c.readBanks {
-		for word := c.readBanks[w] | c.writeBanks[w]; word != 0; word &= word - 1 {
-			next = min(next, c.bankIssueAt(w<<6|bits.TrailingZeros64(word)))
-		}
-	}
-	return next
-}
-
-// bankIssueAt is nextIssueAt's bound for one bank with buffered requests.
-func (c *Controller) bankIssueAt(b int) int64 {
-	openRow := c.dev.OpenRow(b)
-	if openRow < 0 {
-		// Closed bank: every buffered request proceeds with an activate,
-		// whose legality is row-independent.
-		return c.dev.ReadyAt(dram.CmdActivate, b)
-	}
-	rq, wq := &c.bankReads[b], &c.bankWrites[b]
-	anyHit, anyMiss := false, false
-	for r := rq.head; r != nil && !(anyHit && anyMiss); r = rq.next(r) {
-		if r.Loc.Row == openRow {
-			anyHit = true
-		} else {
-			anyMiss = true
-		}
-	}
-	for r := wq.head; r != nil && !(anyHit && anyMiss); r = wq.next(r) {
-		if r.Loc.Row == openRow {
-			anyHit = true
-		} else {
-			anyMiss = true
-		}
-	}
-	next := int64(math.MaxInt64)
-	if anyHit {
-		if rq.n > 0 {
-			next = min(next, c.dev.ReadyAt(dram.CmdRead, b))
-		}
-		if wq.n > 0 {
-			next = min(next, c.dev.ReadyAt(dram.CmdWrite, b))
-		}
-	}
-	if anyMiss {
-		// Some request targets a different row and needs a precharge.
-		next = min(next, c.dev.ReadyAt(dram.CmdPrecharge, b))
 	}
 	return next
 }

@@ -22,9 +22,9 @@ func TestTelemetryDoesNotPerturbSchedule(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			bare := commandStream(t, name, 1, false, nil)
+			bare := commandStream(t, name, 1, nil)
 			probe := telemetry.NewProbe(telemetry.Config{})
-			probed := commandStream(t, name, 1, false, probe)
+			probed := commandStream(t, name, 1, probe)
 			if bare.count == 0 {
 				t.Fatal("run issued no commands (vacuous)")
 			}

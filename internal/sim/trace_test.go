@@ -53,7 +53,7 @@ func TestTracedRunsPreserveCommandStream(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			bare := commandStream(t, name, 1, false, nil)
+			bare := commandStream(t, name, 1, nil)
 			tr := trace.NewTracer(trace.Config{})
 			traced := tracedStream(t, name, 1, tr)
 			if bare.count == 0 {
