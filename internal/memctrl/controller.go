@@ -226,9 +226,10 @@ type Controller struct {
 	inServiceBank [][]int
 	banksBusy     []int
 
-	// accounted counts the cycles accounted so far — one per Tick plus every
-	// AccountIdleSpan span — and is never reset. blpMark[t] is the value of
-	// accounted up to which thread t's BLP has been folded into threadStats.
+	// accounted counts the cycles accounted so far — one per Tick and per
+	// elided Step, plus every AccountIdleSpan span — and is never reset.
+	// blpMark[t] is the value of accounted up to which thread t's BLP has
+	// been folded into threadStats.
 	// The per-cycle accrual the ticked loop used to perform is deferred until
 	// that thread's busy-bank count is about to change (retire, first service
 	// of a read) or its stats are read, then applied in closed form:
@@ -241,8 +242,6 @@ type Controller struct {
 	threadStats []ThreadStats
 	cmdsIssued  int64
 
-	// enqueues counts accepted requests; see Enqueues.
-	enqueues int64
 	// idleUntil caches the earliest cycle at which any command could become
 	// issuable, set after a scan cycle found nothing to issue: the min of
 	// the failed read and write scans' own bounds (bestCandidate), never a
@@ -255,6 +254,10 @@ type Controller struct {
 	// command issues (including refresh). The parbsdebug audit checks every
 	// skipped tick against the flat reference scan (audit_on.go).
 	idleUntil int64
+	// stepNext is the bound the last Step returned: until that cycle Step
+	// elides the tick. Cleared by enqueues, which can create a candidate the
+	// bound did not see.
+	stepNext int64
 }
 
 // NewController builds a controller over dev with the given policy.
@@ -402,7 +405,7 @@ func (c *Controller) PendingWrites() int { return c.writes.n }
 
 // ThreadStats returns a copy of the accumulated stats for thread. Deferred
 // BLP accounting is folded in first, so the copy is exact as of the last
-// Tick or AccountIdleSpan.
+// Tick, Step or AccountIdleSpan.
 func (c *Controller) ThreadStats(thread int) ThreadStats {
 	c.flushBLP(thread)
 	return c.threadStats[thread]
@@ -423,12 +426,6 @@ func (c *Controller) ResetStats() {
 // CommandsIssued returns the total DRAM commands issued.
 func (c *Controller) CommandsIssued() int64 { return c.cmdsIssued }
 
-// Enqueues returns the number of requests accepted into the read and write
-// buffers since construction (never reset). The next-event run loop compares
-// it across cycles to detect that an enqueue invalidated a previously
-// computed NextEventAt bound.
-func (c *Controller) Enqueues() int64 { return c.enqueues }
-
 // EnqueueRead inserts a read request. It returns the request and true, or
 // nil and false when the request buffer is full (the core must retry).
 func (c *Controller) EnqueueRead(thread int, addr int64, now int64) (*Request, bool) {
@@ -436,8 +433,7 @@ func (c *Controller) EnqueueRead(thread int, addr int64, now int64) (*Request, b
 		return nil, false
 	}
 	r := c.newRequest(thread, addr, now, false)
-	c.idleUntil = 0
-	c.enqueues++
+	c.idleUntil, c.stepNext = 0, 0
 	c.reads.pushBack(r)
 	c.bankReads[r.Loc.Bank].pushBack(r)
 	c.readBanks.set(r.Loc.Bank)
@@ -469,8 +465,7 @@ func (c *Controller) EnqueueWrite(thread int, addr int64, now int64) bool {
 		return false
 	}
 	r := c.newRequest(thread, addr, now, true)
-	c.idleUntil = 0
-	c.enqueues++
+	c.idleUntil, c.stepNext = 0, 0
 	c.writes.pushBack(r)
 	c.bankWrites[r.Loc.Bank].pushBack(r)
 	c.writeBanks.set(r.Loc.Bank)

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dram"
@@ -236,5 +237,144 @@ func TestPerThreadBLPMatchesPerCycle(t *testing.T) {
 	}
 	if skipped == 0 {
 		t.Error("no idle span was skipped; the closed-form path went unexercised")
+	}
+}
+
+// rotatingPolicy is FR-FCFS under a thread priority that rotates every
+// period cycles: a self-driven event the Step bound must not step over.
+type rotatingPolicy struct {
+	testPolicy
+	period  int64
+	threads int
+	cur     int
+}
+
+func (p *rotatingPolicy) OnCycle(now int64) { p.cur = int(now/p.period) % p.threads }
+func (p *rotatingPolicy) NextPolicyEventAt(now int64) int64 {
+	return (now/p.period + 1) * p.period
+}
+func (p *rotatingPolicy) Better(a, b Candidate) bool {
+	if pa, pb := a.Req.Thread == p.cur, b.Req.Thread == p.cur; pa != pb {
+		return pa
+	}
+	return p.testPolicy.Better(a, b)
+}
+
+// TestStepMatchesTick drives one controller with Step every cycle and a twin
+// with Tick every cycle, on the same random read and write stream, and
+// requires identical command logs, enqueue outcomes and ThreadStats (read
+// at random cycles, across a mid-run ResetStats, and at the end). Sparse
+// arrivals after long idle gaps land inside the bound an idle Step
+// returned, so an enqueue that failed to clear it would leave the new
+// request unserved; the arms add a policy with self-driven events, and the
+// closed-page policy with refresh.
+func TestStepMatchesTick(t *testing.T) {
+	const threads, warmup, end = 4, 9_000, 50_000
+	arms := []struct {
+		name    string
+		policy  func() Policy
+		closed  bool
+		refresh int64
+	}{
+		{"frfcfs", func() Policy { return &eventedPolicy{} }, false, 0},
+		{"rotating", func() Policy { return &rotatingPolicy{period: 700, threads: threads} }, false, 0},
+		{"closed-page-refresh", func() Policy { return &eventedPolicy{} }, true, 3120},
+	}
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
+			build := func() (*Controller, *[]CommandEvent) {
+				tm := dram.DDR2_800()
+				tm.TREFI = arm.refresh
+				dev, err := dram.NewDevice(tm, dram.DefaultGeometry())
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := DefaultConfig(threads)
+				cfg.ClosedPage = arm.closed
+				c, err := NewController(dev, arm.policy(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var log []CommandEvent
+				c.SetCommandLog(func(ev CommandEvent) { log = append(log, ev) })
+				return c, &log
+			}
+			stepped, log := build()
+			ticked, refLog := build()
+			compare := func(now int64, th int) {
+				t.Helper()
+				if a, b := stepped.ThreadStats(th), ticked.ThreadStats(th); a != b {
+					t.Fatalf("cycle %d thread %d: stepped stats %+v != ticked %+v", now, th, a, b)
+				}
+			}
+
+			rng := rand.New(rand.NewSource(11))
+			g := stepped.Device().Geometry()
+			arrival, bound := int64(0), int64(0)
+			var elided, lateArrivals int64
+			for now := int64(0); now < end; now++ {
+				if now == warmup {
+					stepped.ResetStats()
+					ticked.ResetStats()
+				}
+				enqueued := false
+				for now == arrival {
+					if now < bound {
+						lateArrivals++
+					}
+					enqueued = true
+					th := rng.Intn(threads)
+					addr := g.Unmap(dram.Location{Bank: rng.Intn(g.Banks), Row: rng.Int63n(64), Col: rng.Int63n(16)})
+					if rng.Intn(4) == 0 {
+						if a, b := stepped.EnqueueWrite(th, addr, now), ticked.EnqueueWrite(th, addr, now); a != b {
+							t.Fatalf("cycle %d: write accepted %v by the stepped controller, %v by the ticked one", now, a, b)
+						}
+					} else {
+						_, a := stepped.EnqueueRead(th, addr, now)
+						_, b := ticked.EnqueueRead(th, addr, now)
+						if a != b {
+							t.Fatalf("cycle %d: read accepted %v by the stepped controller, %v by the ticked one", now, a, b)
+						}
+					}
+					// Same-cycle bursts, short gaps and long idle gaps.
+					switch r := rng.Intn(10); {
+					case r < 3:
+						arrival = now
+					case r < 9:
+						arrival = now + 1 + rng.Int63n(8)
+					default:
+						arrival = now + 1 + rng.Int63n(600)
+					}
+				}
+				if !enqueued && now < bound {
+					elided++
+				}
+				ticked.Tick(now)
+				next := stepped.Step(now)
+				if next <= now {
+					t.Fatalf("Step(%d) = %d, not in the future", now, next)
+				}
+				bound = next
+				if rng.Intn(40) == 0 {
+					compare(now, rng.Intn(threads))
+				}
+			}
+			if !slices.Equal(*log, *refLog) {
+				t.Fatalf("command logs differ: %d stepped vs %d ticked commands", len(*log), len(*refLog))
+			}
+			for th := 0; th < threads; th++ {
+				compare(end, th)
+			}
+			t.Logf("%d commands, %d of %d steps elided, %d arrivals inside a Step bound",
+				len(*log), elided, end, lateArrivals)
+			switch {
+			case len(*log) == 0:
+				t.Fatal("no commands issued; test is vacuous")
+			case elided < end/4:
+				t.Errorf("only %d of %d steps elided; the elision went unexercised", elided, end)
+			case lateArrivals == 0:
+				t.Error("no arrival landed inside a Step bound; invalidation went unexercised")
+			}
+		})
 	}
 }

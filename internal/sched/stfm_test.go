@@ -11,12 +11,13 @@ import (
 )
 
 // TestSTFMClosedFormMatchesPerCycle drives two controllers with the same
-// random read and write stream: one ticked every cycle, one on the
-// simulator's clock discipline — tick, then elide the cycles NextEventAt
-// proves quiet until the next arrival, accounting them with AccountIdleSpan.
-// At every real tick of the second, its STFM state (shared and interference
-// clocks, fairness mode, slowest thread) must equal the per-cycle one bit
-// for bit, and the two command streams must be identical. A short
+// random read and write stream: one ticked every cycle, one stepped every
+// cycle with Controller.Step, which elides the ticks NextEventAt proves quiet
+// until the next arrival — the simulator's clock. At every real tick of the
+// second (an arrival, or a cycle at or past the bound its last Step
+// returned), its STFM state (shared and interference clocks, fairness mode,
+// slowest thread) must equal the per-cycle one bit for bit, and the two
+// command streams must be identical. A short
 // IntervalLength puts many ageing boundaries inside the run, and sparse
 // arrivals with several threads joining the reader set after an elided span
 // exercise the OnEnqueue settle.
@@ -83,14 +84,16 @@ func TestSTFMClosedFormMatchesPerCycle(t *testing.T) {
 			}
 		}
 		refCtrl.Tick(now)
+		before := got.nextAgeing
+		bound := ctrl.Step(now)
 		if !enqueued && now < next {
-			ctrl.AccountIdleSpan(1)
+			if bound != next {
+				t.Fatalf("cycle %d: elided Step returned %d, want its cached bound %d", now, bound, next)
+			}
 			elided++
 			continue
 		}
-		issued := ctrl.CommandsIssued()
-		before := got.nextAgeing
-		ctrl.Tick(now)
+		next = bound
 		ticks++
 		compare(now)
 		if got.unfair {
@@ -98,10 +101,6 @@ func TestSTFMClosedFormMatchesPerCycle(t *testing.T) {
 		}
 		if got.nextAgeing != before && slices.ContainsFunc(got.shared, func(v float64) bool { return v != math.Trunc(v) }) {
 			ageings++
-		}
-		next = now + 1
-		if ctrl.CommandsIssued() == issued {
-			next = ctrl.NextEventAt(now)
 		}
 	}
 	if !slices.Equal(*log, *refLog) {

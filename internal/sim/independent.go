@@ -32,63 +32,11 @@ func RunAloneIndependent(cfg Config, p workload.Profile) (metrics.ThreadOutcome,
 	return runAlone(cfg, p, false)
 }
 
-// chanShard is one shard of the run loop: a device (lock-step ganged or one
-// independent channel) and its controller, plus the shard-local next-event
-// bookkeeping.
-type chanShard struct {
-	ctrl *memctrl.Controller
-	dev  *dram.Device
-
-	// Controller-tick elision: ctrlNext is the bound NextEventAt returned
-	// after the last unproductive tick. Until that cycle — and as long as no
-	// core enqueues a request, which invalidates the bound (ctrlEnq) — the
-	// tick is skipped even while cores stay busy: nothing can retire (the
-	// bound caps at the oldest in-flight burst's end), nothing can issue,
-	// and the policy's OnCycle is inert between events (the NextEventer
-	// contract; non-NextEventer policies pin the bound to now+1). The
-	// per-cycle BLP accounting those ticks would have done accrues in
-	// ctrlIdle and is applied in closed form before the next real tick or
-	// any stats read.
-	ctrlNext int64
-	ctrlIdle int64
-	ctrlEnq  int64
-	skipping bool
-}
-
-// step advances the shard's controller by one DRAM cycle, eliding the tick
-// when the shard's next-event bound proves it inert, and reports whether
-// the shard issued a command.
-func (s *chanShard) step(dc int64) (issued bool) {
-	if e := s.ctrl.Enqueues(); s.skipping && dc < s.ctrlNext && e == s.ctrlEnq {
-		s.ctrlIdle++
-		return false
-	}
-	s.ctrlEnq = s.ctrl.Enqueues()
-	s.flushIdle()
-	before := s.ctrl.CommandsIssued()
-	s.ctrl.Tick(dc)
-	issued = s.ctrl.CommandsIssued() != before
-	if issued {
-		s.ctrlNext = dc + 1
-	} else {
-		s.ctrlNext = s.ctrl.NextEventAt(dc)
-	}
-	return issued
-}
-
-// flushIdle applies the accumulated elided-cycle BLP accounting.
-func (s *chanShard) flushIdle() {
-	if s.ctrlIdle > 0 {
-		s.ctrl.AccountIdleSpan(s.ctrlIdle)
-		s.ctrlIdle = 0
-	}
-}
-
 // channelPort adapts the shard controllers to the cpu.MemPort interface,
 // routing core memory traffic by dram.ChannelRoute (every line to shard 0
 // when there is one) and carrying the current DRAM cycle.
 type channelPort struct {
-	shards []*chanShard
+	shards []*memctrl.Controller
 	line   int64
 	chans  int
 	now    int64
@@ -96,7 +44,7 @@ type channelPort struct {
 
 func (p *channelPort) IssueRead(thread int, addr int64, tag int) bool {
 	ch, inner := dram.ChannelRoute(addr, p.line, p.chans)
-	r, ok := p.shards[ch].ctrl.EnqueueRead(thread, inner, p.now)
+	r, ok := p.shards[ch].EnqueueRead(thread, inner, p.now)
 	if ok {
 		r.Tag = tag
 	}
@@ -105,7 +53,7 @@ func (p *channelPort) IssueRead(thread int, addr int64, tag int) bool {
 
 func (p *channelPort) IssueWrite(thread int, addr int64) bool {
 	ch, inner := dram.ChannelRoute(addr, p.line, p.chans)
-	return p.shards[ch].ctrl.EnqueueWrite(thread, inner, p.now)
+	return p.shards[ch].EnqueueWrite(thread, inner, p.now)
 }
 
 // sampler holds the preallocated scratch a probed run fills at each epoch
@@ -114,7 +62,7 @@ func (p *channelPort) IssueWrite(thread int, addr int64) bool {
 type sampler struct {
 	probe      *telemetry.Probe
 	cores      []*cpu.Core
-	shards     []*chanShard
+	shards     []*memctrl.Controller
 	threads    []telemetry.ThreadSample
 	bankCAS    []int64
 	chanBanks  int
@@ -125,16 +73,13 @@ type sampler struct {
 // sample snapshots the cumulative simulation counters into the probe at the
 // epoch ending at DRAM cycle end. Allocation-free.
 func (s *sampler) sample(end int64) {
-	for _, sh := range s.shards {
-		sh.flushIdle()
-	}
 	for i, core := range s.cores {
 		st := core.Stats()
-		ms := s.shards[0].ctrl.ThreadStats(i)
-		queue := s.shards[0].ctrl.ReadsPerThread(i)
+		ms := s.shards[0].ThreadStats(i)
+		queue := s.shards[0].ReadsPerThread(i)
 		for _, sh := range s.shards[1:] {
-			ms = ms.Merge(sh.ctrl.ThreadStats(i))
-			queue += sh.ctrl.ReadsPerThread(i)
+			ms = ms.Merge(sh.ThreadStats(i))
+			queue += sh.ReadsPerThread(i)
 		}
 		blpSum, blpCycles := ms.BLPAccum()
 		s.threads[i] = telemetry.ThreadSample{
@@ -151,8 +96,9 @@ func (s *sampler) sample(end int64) {
 	}
 	var ds telemetry.DeviceSample
 	for ch, sh := range s.shards {
-		sh.dev.CopyBankCAS(s.bankCAS[ch*s.chanBanks : (ch+1)*s.chanBanks])
-		dst := sh.dev.Stats()
+		dev := sh.Device()
+		dev.CopyBankCAS(s.bankCAS[ch*s.chanBanks : (ch+1)*s.chanBanks])
+		dst := dev.Stats()
 		ds.Reads += dst.Reads
 		ds.Writes += dst.Writes
 		ds.Activates += dst.Activates

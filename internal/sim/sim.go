@@ -8,6 +8,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -284,7 +285,7 @@ func run(cfg Config, mix workload.Mix, factory func() memctrl.Policy, ganged boo
 		clocks[r.Thread].settle(core) // the completion may lower its wake bound
 	}
 	tr := cfg.Tracer
-	shards := make([]*chanShard, n)
+	shards := make([]*memctrl.Controller, n)
 	var shardTracers []*trace.Tracer
 	var first memctrl.Policy
 	for ch := range shards {
@@ -330,7 +331,7 @@ func run(cfg Config, mix workload.Mix, factory func() memctrl.Policy, ganged boo
 				eng.SetLifecycleObserver(st)
 			}
 		}
-		shards[ch] = &chanShard{ctrl: ctrl, dev: dev, skipping: skipping}
+		shards[ch] = ctrl
 	}
 
 	port := &channelPort{shards: shards, line: cfg.Geometry.LineBytes, chans: n}
@@ -352,7 +353,7 @@ func run(cfg Config, mix workload.Mix, factory func() memctrl.Policy, ganged boo
 	if probe := cfg.Probe; probe != nil {
 		epochLen := probe.EpochDRAMCycles()
 		checkEvery = epochLen
-		probe.Bind(cfg.Cores, n*geom.Banks, shards[0].dev.BurstCycles(),
+		probe.Bind(cfg.Cores, n*geom.Banks, shards[0].Device().BurstCycles(),
 			(totalDRAM-warmupDRAM)/epochLen)
 		tel = &sampler{
 			probe:      probe,
@@ -395,14 +396,14 @@ func run(cfg Config, mix workload.Mix, factory func() memctrl.Policy, ganged boo
 	}
 
 	issued := func() (t int64) {
-		for _, s := range shards {
-			t += s.ctrl.CommandsIssued()
+		for _, c := range shards {
+			t += c.CommandsIssued()
 		}
 		return t
 	}
 	pending := func() (t int) {
-		for _, s := range shards {
-			t += s.ctrl.PendingReads()
+		for _, c := range shards {
+			t += c.PendingReads()
 		}
 		return t
 	}
@@ -432,9 +433,8 @@ func run(cfg Config, mix workload.Mix, factory func() memctrl.Policy, ganged boo
 				clocks[i].catchUp(core, dc*ratio)
 				core.ResetStats()
 			}
-			for _, s := range shards {
-				s.flushIdle()
-				s.ctrl.ResetStats()
+			for _, c := range shards {
+				c.ResetStats()
 			}
 			if tel != nil {
 				tel.probe.Rebase()
@@ -452,10 +452,14 @@ func run(cfg Config, mix workload.Mix, factory func() memctrl.Policy, ganged boo
 				k.catchUp(core, tickEnd)
 			}
 		}
-		progressed := false
-		for _, s := range shards {
-			if s.step(dc) {
-				progressed = true
+		// stepAt is the earliest cycle a controller asks to be stepped
+		// at: dc+1 after an issue, its next event after an idle tick.
+		stepAt := int64(math.MaxInt64)
+		for _, c := range shards {
+			if skipping {
+				stepAt = min(stepAt, c.Step(dc))
+			} else {
+				c.Tick(dc)
 			}
 		}
 		// Liveness check: buffered work with no command progress for a long
@@ -491,35 +495,28 @@ func run(cfg Config, mix workload.Mix, factory func() memctrl.Policy, ganged boo
 				}
 				if !ganged {
 					p.PendingPerChannel = make([]int, n)
-					for ch, s := range shards {
-						p.PendingPerChannel[ch] = s.ctrl.PendingReads()
+					for ch, c := range shards {
+						p.PendingPerChannel[ch] = c.PendingReads()
 					}
 				}
 				cfg.Progress(p)
 			}
 		}
 		next := dc + 1
-		if skipping && !progressed {
-			// The cycle was idle on every shard. Nothing observable can
-			// happen until the earliest of the cores' port-quiet bounds and
-			// the shards' next events: a core's own progress up to its bound
-			// is applied by its catch-up Tick. A command issue this cycle
-			// would have freed a request- or write-buffer slot (unblocking a
-			// fetch- or store-stalled core), hence the progressed guard.
-			target := totalDRAM
+		if skipping && stepAt > next {
+			// No shard issued a command or has an event before stepAt, so
+			// nothing observable can happen until the earliest of that and
+			// the cores' port-quiet bounds: a core's own progress up to its
+			// bound is applied by its catch-up Tick. A cycle that issued
+			// (stepAt == next) never jumps: the issue may have freed a
+			// request- or write-buffer slot a fetch- or store-stalled core
+			// waits on. That short-circuit also spares the core scan below
+			// on every issuing cycle.
+			target := min(totalDRAM, stepAt)
 			for i := range clocks {
 				target = min(target, clocks[i].quiet/ratio)
 			}
 			if target > next {
-				// Each shard's ctrlNext is the NextEventAt bound the ticked
-				// path would recompute here: produced by its last
-				// unproductive tick, it stays valid (no enqueue, no issue
-				// since — both force a re-tick).
-				for _, s := range shards {
-					if s.ctrlNext < target {
-						target = s.ctrlNext
-					}
-				}
 				if dc < warmupDRAM && warmupDRAM < target {
 					target = warmupDRAM
 				}
@@ -536,11 +533,10 @@ func run(cfg Config, mix workload.Mix, factory func() memctrl.Policy, ganged boo
 				}
 			}
 			if target > next {
-				// The skipped span is provably idle on every shard; its BLP
-				// accounting accrues shard-locally and flushes in closed form
-				// before the next real tick or stats read.
-				for _, s := range shards {
-					s.ctrlIdle += target - next
+				// The skipped span is provably idle on every shard; each
+				// accounts it in closed form.
+				for _, c := range shards {
+					c.AccountIdleSpan(target - next)
 				}
 				next = target
 			}
@@ -553,9 +549,6 @@ func run(cfg Config, mix workload.Mix, factory func() memctrl.Policy, ganged boo
 	// nothing but the completions already queued.
 	for i, core := range cores {
 		clocks[i].catchUp(core, totalDRAM*ratio)
-	}
-	for _, s := range shards {
-		s.flushIdle()
 	}
 	if tel != nil {
 		tel.probe.RecordLoopStats(totalDRAM, evaluated, totalDRAM-evaluated)
@@ -573,8 +566,8 @@ func run(cfg Config, mix workload.Mix, factory func() memctrl.Policy, ganged boo
 	if !ganged {
 		res.Policy += fmt.Sprintf(" x%d-independent", n)
 	}
-	for _, s := range shards {
-		st := s.dev.Stats()
+	for _, c := range shards {
+		st := c.Device().Stats()
 		res.DRAM.Activates += st.Activates
 		res.DRAM.Precharges += st.Precharges
 		res.DRAM.Reads += st.Reads
@@ -583,9 +576,9 @@ func run(cfg Config, mix workload.Mix, factory func() memctrl.Policy, ganged boo
 		res.DRAM.BusyCycles += st.BusyCycles / int64(n) // normalize to one bus
 	}
 	for i, core := range cores {
-		merged := shards[0].ctrl.ThreadStats(i)
-		for _, s := range shards[1:] {
-			merged = merged.Merge(s.ctrl.ThreadStats(i))
+		merged := shards[0].ThreadStats(i)
+		for _, c := range shards[1:] {
+			merged = merged.Merge(c.ThreadStats(i))
 		}
 		res.Threads = append(res.Threads, metrics.ThreadOutcome{
 			Benchmark: mix.Benchmarks[i].Name,
