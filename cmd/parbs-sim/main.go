@@ -147,6 +147,10 @@ func main() {
 			fatal(err)
 		}
 	}
+	// One baseline per distinct benchmark (CSIII's four lbm copies share
+	// one), simulated on helper goroutines beside the shared run.
+	var cache sim.AloneCache
+	baselines := cache.Start(cfg, mix.Benchmarks, mode != parbs.Independent, nil)
 	var res sim.Result
 	if mode == parbs.Independent {
 		name := *schedName
@@ -163,12 +167,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	alone, err := baselines.Wait()
+	if err != nil {
+		fatal(err)
+	}
 	chanOrg := "lock-step"
 	if mode == parbs.Independent {
 		chanOrg = "independent"
 	}
-	// One baseline per distinct benchmark: CSIII's four lbm copies share one.
-	var baselines sim.AloneCache
 	var cs []metrics.Comparison
 	aloneMCPI := make([]float64, len(res.Threads))
 	fmt.Printf("mix %s under %s (%d cores, %d %s channels)\n",
@@ -176,12 +182,8 @@ func main() {
 	fmt.Printf("%-12s %10s %8s %8s %8s %8s %10s\n",
 		"thread", "slowdown", "IPC", "MCPI", "BLP", "RBhit", "AST/req")
 	for i, th := range res.Threads {
-		alone, err := baselines.Alone(cfg, mix.Benchmarks[i], mode != parbs.Independent)
-		if err != nil {
-			fatal(err)
-		}
-		aloneMCPI[i] = alone.CPU.MCPI()
-		c := metrics.Comparison{Alone: alone, Shared: th}
+		aloneMCPI[i] = alone[i].CPU.MCPI()
+		c := metrics.Comparison{Alone: alone[i], Shared: th}
 		cs = append(cs, c)
 		fmt.Printf("%-12s %10.2f %8.3f %8.2f %8.2f %8.3f %10.1f\n",
 			th.Benchmark, c.MemSlowdown(), th.CPU.IPC(), th.CPU.MCPI(),

@@ -176,23 +176,15 @@ func parallelFor(ctx context.Context, n int, fn func(i int) error) error {
 }
 
 // prepareAlone pre-computes alone baselines for every benchmark in the
-// mixes, in parallel, so subsequent RunMix calls hit the cache. Cancellation
-// stops scheduling new baseline runs.
+// mixes, in parallel (sim.AloneCache.Start), so subsequent RunMix calls hit
+// the cache. Cancellation stops scheduling new baseline runs.
 func (x *Context) prepareAlone(cfg sim.Config, mixes []workload.Mix) error {
-	seen := map[string]workload.Profile{}
+	var ps []workload.Profile
 	for _, m := range mixes {
-		for _, p := range m.Benchmarks {
-			seen[p.Name] = p
-		}
+		ps = append(ps, m.Benchmarks...)
 	}
-	ps := make([]workload.Profile, 0, len(seen))
-	for _, p := range seen {
-		ps = append(ps, p)
-	}
-	return parallelFor(x.ctx(), len(ps), func(i int) error {
-		_, err := x.Alone(cfg, ps[i])
-		return err
-	})
+	_, err := x.alone.Start(cfg, ps, true, nil).Wait()
+	return err
 }
 
 // variant names one scheduler configuration in a grid.

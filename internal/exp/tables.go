@@ -92,27 +92,19 @@ func runT3(x *Context) (*Table, error) {
 		ID: "T3", Title: "Alone-run characterization on the baseline 4-core memory system",
 		Header: []string{"benchmark", "cat", "MPKI", "(paper)", "RBhit", "(paper)", "BLP", "(paper)", "MCPI", "(paper)", "AST/req", "(paper)"},
 	}
-	rows := make([][]string, len(bs))
-	err := parallelFor(x.ctx(), len(bs), func(i int) error {
-		p := bs[i]
-		out, err := x.Alone(cfg, p)
-		if err != nil {
-			return err
-		}
-		rows[i] = []string{
-			p.Name, d(int64(p.Category)),
+	outs, err := x.alone.Start(cfg, bs, true, nil).Wait()
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range bs {
+		out := outs[i]
+		t.AddRow(p.Name, d(int64(p.Category)),
 			f2(out.CPU.MPKI()), f2(p.MPKI),
 			f3(out.Mem.RowHitRate()), f3(p.RowHit),
 			f2(out.Mem.BLP()), f2(p.BLP),
 			f2(out.CPU.MCPI()), f2(p.MCPI),
-			f1(out.CPU.ASTPerReq()), f1(p.ASTPerReq),
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+			f1(out.CPU.ASTPerReq()), f1(p.ASTPerReq))
 	}
-	t.Rows = rows
 	t.AddNote("targets are the paper's Table 3; MPKI/RBhit/BLP are generation targets, MCPI and AST/req emerge from our memory system")
 	return t, nil
 }

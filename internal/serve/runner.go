@@ -9,8 +9,9 @@ import (
 )
 
 // Sink receives a running job's observability streams. Either hook may be
-// nil; both are invoked synchronously from the simulation goroutine, so
-// they must be fast and must not block.
+// nil; both are invoked synchronously from the goroutine running the job
+// (the one that calls parbs.RunContext), one call at a time, so they must
+// be fast and must not block.
 type Sink struct {
 	// Progress receives heartbeat snapshots (SSE /events, occupancy gauges).
 	Progress func(parbs.Progress)
@@ -108,8 +109,10 @@ func SimulationRunner(cache *parbs.AloneCache) Runner {
 				stream = tracer.Stream()
 			}
 		}
-		// Progress callbacks fire synchronously on the simulation goroutine,
-		// which is the one place a mid-run trace flush is race-free.
+		// Progress callbacks fire synchronously on this goroutine, where the
+		// shared run steps: RunContext relays the heartbeats of baselines it
+		// simulates on helper goroutines here too. This is the one place a
+		// mid-run trace flush is race-free.
 		if sink.Progress != nil || stream != nil {
 			opts = append(opts, parbs.WithProgress(func(p parbs.Progress) {
 				if sink.Progress != nil {

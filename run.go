@@ -34,8 +34,9 @@ type CommandEvent struct {
 // Progress is a heartbeat snapshot delivered to the WithProgress hook at
 // every epoch checkpoint of every simulation phase.
 type Progress struct {
-	// Phase is "warmup" or "measure" during the shared run, then
-	// "alone:<benchmark>" during each baseline run.
+	// Phase is "warmup" or "measure" during the shared run and
+	// "alone:<benchmark>" during a baseline run. Baselines run beside the
+	// shared run, so alone phases may interleave with warmup and measure.
 	Phase string
 	// CPUCycles and TotalCPUCycles locate the current phase's run;
 	// CPUCycles/TotalCPUCycles is the fraction complete.
@@ -58,7 +59,8 @@ type Progress struct {
 // not on the scheduler or co-runners — so services and sweeps that simulate
 // many workloads on the same system can share one cache and skip the
 // (dominant) baseline cost on every run after the first. Safe for
-// concurrent use by multiple simultaneous runs.
+// concurrent use by multiple simultaneous runs: a baseline another run is
+// simulating is waited for, not simulated twice.
 type AloneCache struct {
 	c sim.AloneCache
 }
@@ -75,7 +77,8 @@ func (c *AloneCache) Len() int {
 
 // WithAloneCache shares alone-run baselines across runs through c. Runs
 // that find their benchmarks' baselines in the cache skip the alone
-// simulations entirely; misses are computed once and inserted.
+// simulations entirely; misses are computed once, beside the shared run,
+// and inserted.
 func WithAloneCache(c *AloneCache) RunOption {
 	return func(rc *runConfig) { rc.aloneCache = c }
 }
@@ -108,7 +111,11 @@ func WithCommandLog(fn func(CommandEvent)) RunOption {
 }
 
 // WithProgress delivers heartbeat snapshots to fn at every epoch checkpoint,
-// across the shared run and each alone baseline run. fn must not block.
+// across the shared run and each alone baseline run. fn runs on the
+// goroutine that called RunContext and is never entered twice at once: the
+// heartbeats of baselines simulated on helper goroutines are queued and
+// delivered at the shared run's checkpoints and while RunContext joins the
+// helpers. fn must not block.
 func WithProgress(fn func(Progress)) RunOption {
 	return func(rc *runConfig) { rc.progress = fn }
 }
@@ -130,8 +137,14 @@ func Run(sys System, w Workload, s Scheduler) (Report, error) {
 }
 
 // RunContext is Run with cooperative cancellation and optional observers.
+// The shared run steps on the calling goroutine; the mix's missing alone
+// baselines are simulated beside it on up to GOMAXPROCS-1 helper
+// goroutines, and the calling goroutine runs any still waiting when the
+// shared run ends. No goroutine outlives the call.
 // ctx is polled at every epoch checkpoint (roughly every 10k CPU cycles);
 // cancellation aborts the run mid-flight with an error wrapping ctx.Err().
+// A failing shared run's error is returned before any baseline's, and the
+// first failing baseline in benchmark order before the others.
 // The scheduler must be freshly constructed: instances are single-use and
 // reuse is reported as an error.
 func RunContext(ctx context.Context, sys System, w Workload, s Scheduler, opts ...RunOption) (Report, error) {
@@ -177,21 +190,12 @@ func RunContext(ctx context.Context, sys System, w Workload, s Scheduler, opts .
 			})
 		}
 	}
-	// aloneOf names the benchmark whose baseline is being looked up, empty
-	// during the shared run; the progress adapter reads it at delivery time.
-	var aloneOf string
+	var deliver func(phase string, p sim.Progress)
 	if rc.progress != nil {
 		fn := rc.progress
-		cfg.Progress = func(p sim.Progress) {
-			ph := "measure"
-			switch {
-			case aloneOf != "":
-				ph = "alone:" + aloneOf
-			case p.Warmup:
-				ph = "warmup"
-			}
+		deliver = func(phase string, p sim.Progress) {
 			fn(Progress{
-				Phase:             ph,
+				Phase:             phase,
 				CPUCycles:         p.CPUCycle,
 				TotalCPUCycles:    p.TotalDRAMCycles * cfg.CPUCyclesPerDRAM,
 				CommandsIssued:    p.CommandsIssued,
@@ -202,6 +206,30 @@ func RunContext(ctx context.Context, sys System, w Workload, s Scheduler, opts .
 	}
 	if err := s.acquire(); err != nil {
 		return Report{}, err
+	}
+	// Alone baselines run on helper goroutines beside the shared run (the
+	// probe and command log are shared-run-only; RunAlone strips them). Their
+	// heartbeats are relayed at the shared run's checkpoints and while
+	// joining, so fn only ever runs here, on the calling goroutine.
+	cache := rc.aloneCache
+	if cache == nil {
+		cache = NewAloneCache()
+	}
+	var aloneBeat func(string, sim.Progress)
+	if deliver != nil {
+		aloneBeat = func(bench string, p sim.Progress) { deliver("alone:"+bench, p) }
+	}
+	baselines := cache.c.Start(cfg, w.mix.Benchmarks, !independent, aloneBeat)
+	defer baselines.Stop()
+	if deliver != nil {
+		cfg.Progress = func(p sim.Progress) {
+			baselines.Relay()
+			if p.Warmup {
+				deliver("warmup", p)
+			} else {
+				deliver("measure", p)
+			}
+		}
 	}
 	var res sim.Result
 	if independent {
@@ -215,21 +243,15 @@ func RunContext(ctx context.Context, sys System, w Workload, s Scheduler, opts .
 	if rc.tracer != nil {
 		rc.tracer.finish()
 	}
-	// Alone baselines: probe and command log are shared-run-only (RunAlone
-	// strips them); context and progress carry through to cache misses.
-	cache := rc.aloneCache
-	if cache == nil {
-		cache = NewAloneCache()
+	bases, err := baselines.Wait()
+	if err != nil {
+		return Report{}, err
 	}
 	var cs []metrics.Comparison
 	aloneMCPI := make([]float64, len(res.Threads))
 	rep := Report{Scheduler: res.Policy, BusUtilization: res.BusUtilization()}
 	for i, th := range res.Threads {
-		aloneOf = th.Benchmark
-		base, err := cache.c.Alone(cfg, w.mix.Benchmarks[i], !independent)
-		if err != nil {
-			return Report{}, err
-		}
+		base := bases[i]
 		aloneMCPI[i] = base.CPU.MCPI()
 		c := metrics.Comparison{Alone: base, Shared: th}
 		cs = append(cs, c)

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -95,10 +97,21 @@ func TestRunContextTelemetryAndProgress(t *testing.T) {
 	}
 	tel := NewTelemetry(TelemetryConfig{EpochCycles: 10_240})
 	phases := map[string]bool{}
+	var inFn atomic.Bool
 	var commands int
 	rep, err := RunContext(context.Background(), quickSystem(4), w, NewPARBS(PARBSOptions{}),
 		WithTelemetry(tel),
-		WithProgress(func(p Progress) { phases[p.Phase] = true }),
+		WithProgress(func(p Progress) {
+			// Baselines run on helper goroutines, but their heartbeats are
+			// relayed: fn is never entered while another call is in it.
+			// The sleep widens each call so that an overlap would show.
+			if !inFn.CompareAndSwap(false, true) {
+				t.Error("progress fn entered while another call is in it")
+			}
+			phases[p.Phase] = true
+			time.Sleep(50 * time.Microsecond)
+			inFn.Store(false)
+		}),
 		WithCommandLog(func(ev CommandEvent) { commands++ }),
 	)
 	if err != nil {
@@ -110,7 +123,7 @@ func TestRunContextTelemetryAndProgress(t *testing.T) {
 	if commands == 0 {
 		t.Error("command log received nothing")
 	}
-	for _, ph := range []string{"warmup", "measure", "alone:mcf", "alone:lbm"} {
+	for _, ph := range []string{"warmup", "measure", "alone:mcf", "alone:lbm", "alone:hmmer", "alone:h264ref"} {
 		if !phases[ph] {
 			t.Errorf("no progress heartbeat for phase %q (saw %v)", ph, phases)
 		}
@@ -153,6 +166,76 @@ func TestRunContextTelemetryAndProgress(t *testing.T) {
 	// Collectors are single-use, like schedulers.
 	if _, err := RunContext(context.Background(), quickSystem(4), w, NewFRFCFS(), WithTelemetry(tel)); err == nil {
 		t.Error("reused Telemetry collector accepted")
+	}
+}
+
+// TestRunContextCancelDuringSharedRun: cancelling during the shared run
+// returns an error wrapping ctx.Err(), stops the baselines running beside
+// it, and leaves no goroutine and no half-claimed baseline behind.
+func TestRunContextCancelDuringSharedRun(t *testing.T) {
+	w, err := WorkloadFromNames("mcf", "lbm", "hmmer", "h264ref")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cache := NewAloneCache()
+	_, err = RunContext(ctx, quickSystem(4), w, NewFRFCFS(), WithAloneCache(cache),
+		WithProgress(func(p Progress) {
+			if p.Phase == "warmup" || p.Phase == "measure" {
+				cancel()
+			}
+		}))
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "run canceled") {
+		t.Fatalf("cancelled run returned %v, want the shared run's context.Canceled", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > start {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the call, %d before", runtime.NumGoroutine(), start)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Every claim was settled: a live run on the same cache completes. A
+	// claim left in flight would block it, so it gets a deadline.
+	live, stop := context.WithTimeout(context.Background(), time.Minute)
+	defer stop()
+	if _, err := RunContext(live, quickSystem(4), w, NewFRFCFS(), WithAloneCache(cache)); err != nil {
+		t.Fatal(err)
+	}
+	if cache.Len() != 4 {
+		t.Errorf("cache holds %d baselines, want 4", cache.Len())
+	}
+}
+
+// TestRunContextColdWarmBaselines: baselines simulated beside the shared
+// run (cold cache) and read from the cache (warm) give identical reports on
+// both channel layouts, and a repeated benchmark is simulated alone once.
+func TestRunContextColdWarmBaselines(t *testing.T) {
+	w, err := WorkloadFromNames("lbm", "mcf", "lbm", "hmmer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []ChannelMode{Lockstep, Independent} {
+		sys := quickSystem(4)
+		sys.ChannelMode = mode
+		sys.Channels = 2
+		cache := NewAloneCache()
+		cold, err := RunContext(context.Background(), sys, w, NewPARBS(PARBSOptions{}), WithAloneCache(cache))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cache.Len() != 3 {
+			t.Errorf("%s: cache holds %d baselines, want 3 distinct benchmarks", mode, cache.Len())
+		}
+		warm, err := RunContext(context.Background(), sys, w, NewPARBS(PARBSOptions{}), WithAloneCache(cache))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold.String() != warm.String() {
+			t.Errorf("%s: cold and warm reports differ:\n cold: %v\n warm: %v", mode, cold, warm)
+		}
 	}
 }
 
