@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
+	"repro/internal/trace"
 )
 
 // DefaultMaxAnalyses bounds the number of retained analysis results when
@@ -60,8 +61,8 @@ type analysisCreatedView struct {
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxUpload)
 	var (
-		raw []byte
-		opt analysis.Options
+		store *analysis.Store
+		opt   analysis.Options
 	)
 	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/json") {
 		var req analyzeRequest
@@ -75,25 +76,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, fmt.Errorf(`"run" is required in the JSON form (or POST the JSONL trace directly)`))
 			return
 		}
-		j, ok := s.store.Get(req.Run)
-		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("unknown run %q", req.Run))
+		log, code, err := s.runLog(req.Run, http.StatusConflict)
+		if err != nil {
+			httpError(w, code, err)
 			return
 		}
-		snap := s.store.Use(j)
-		if snap.Status != StatusDone {
-			httpError(w, http.StatusConflict, fmt.Errorf("run %s is %s, not done", req.Run, snap.Status))
-			return
-		}
-		if snap.Evicted {
-			httpError(w, http.StatusGone, errEvicted(j.ID))
-			return
-		}
-		if snap.Result == nil || len(snap.Result.TraceEvents) == 0 {
-			httpError(w, http.StatusConflict, fmt.Errorf("run %s has no event trace; submit it with trace.events=true", req.Run))
-			return
-		}
-		raw = snap.Result.TraceEvents
+		store = analysis.FromLog(log)
 		opt = analysis.Options{WindowCycles: req.WindowCycles, TopK: req.TopK}
 	} else {
 		body, err := io.ReadAll(r.Body)
@@ -101,24 +89,15 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			httpError(w, bodyErrorStatus(err), fmt.Errorf("read trace: %w", err))
 			return
 		}
-		raw = body
-		if opt.WindowCycles, err = queryInt64(r, "window_cycles"); err != nil {
+		if opt, err = analysisQueryOptions(r); err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		topK, err := queryInt64(r, "top_k")
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if store, err = analysis.Ingest(bytes.NewReader(body)); err != nil {
+			s.metrics.analysisFailed()
+			httpError(w, http.StatusBadRequest, fmt.Errorf("ingest trace: %w", err))
 			return
 		}
-		opt.TopK = int(topK)
-	}
-
-	store, err := analysis.Ingest(bytes.NewReader(raw))
-	if err != nil {
-		s.metrics.analysisFailed()
-		httpError(w, http.StatusBadRequest, fmt.Errorf("ingest trace: %w", err))
-		return
 	}
 	e := s.store.addAnalysis(store, store.Analyze(opt))
 	s.metrics.analysisDone()
@@ -165,28 +144,39 @@ func (s *Server) handleAnalysisSnapshot(w http.ResponseWriter, r *http.Request) 
 	e.store.WriteSnapshot(w)
 }
 
-// handleRunTrace serves a completed run's raw parbs.trace/v1 JSONL.
-func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.store.Get(r.PathValue("id"))
+// runLog returns the stored event log of the run ref names, or the HTTP
+// status to answer when there is none: 404 for an unknown run, 409 for one
+// not done, 410 once the retention budget evicted its payload, and noTrace
+// for one run without trace.events. Resolving counts as a use of the
+// payload.
+func (s *Server) runLog(ref string, noTrace int) (*trace.Log, int, error) {
+	j, ok := s.store.Get(ref)
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown run %q", r.PathValue("id")))
-		return
+		return nil, http.StatusNotFound, fmt.Errorf("unknown run %q", ref)
 	}
 	snap := s.store.Use(j)
 	if snap.Status != StatusDone {
-		httpError(w, http.StatusConflict, fmt.Errorf("run %s is %s, not done", j.ID, snap.Status))
-		return
+		return nil, http.StatusConflict, fmt.Errorf("run %s is %s, not done", ref, snap.Status)
 	}
 	if snap.Evicted {
-		httpError(w, http.StatusGone, errEvicted(j.ID))
-		return
+		return nil, http.StatusGone, errEvicted(ref)
 	}
-	if snap.Result == nil || len(snap.Result.TraceEvents) == 0 {
-		httpError(w, http.StatusNotFound, fmt.Errorf("run %s has no event trace; submit it with trace.events=true", j.ID))
+	if snap.Result == nil || snap.Result.TraceLog == nil {
+		return nil, noTrace, fmt.Errorf("run %s has no event trace; submit it with trace.events=true", ref)
+	}
+	return snap.Result.TraceLog, 0, nil
+}
+
+// handleRunTrace serves a completed run's event log as parbs.trace/v1
+// JSONL, rendered from the stored log on each request.
+func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
+	log, code, err := s.runLog(r.PathValue("id"), http.StatusNotFound)
+	if err != nil {
+		httpError(w, code, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Write(snap.Result.TraceEvents)
+	trace.WriteJSONL(w, log)
 }
 
 // maxUploadBytes bounds one uploaded trace or snapshot: a POST

@@ -15,12 +15,12 @@ import (
 	"repro/internal/trace"
 )
 
-// testTraceJSONL renders a small hand-sequenced parbs.trace/v1 trace: two
-// threads on two banks, thread 1's request starved long enough to make it
-// the unambiguous bottleneck.
-func testTraceJSONL(t *testing.T) []byte {
-	t.Helper()
-	log := &trace.Log{
+// testTraceLog is a small hand-sequenced event log: two threads on two
+// banks, thread 1's request starved long enough to make it the unambiguous
+// bottleneck. Its events set only the fields the JSONL carries, as a
+// tracer's do.
+func testTraceLog() *trace.Log {
+	return &trace.Log{
 		Meta: trace.Meta{
 			Policy: "PAR-BS", Workload: "stub", Cores: 2, Banks: 2,
 			CPUPerDRAM: 10, TotalDRAM: 1000, MarkingCap: 5, ReadBufEntries: 64,
@@ -28,19 +28,27 @@ func testTraceJSONL(t *testing.T) []byte {
 		Events: []trace.Event{
 			{Kind: trace.KindArrive, Cycle: 0, Req: 1, Thread: 0, Bank: 0, Row: 7},
 			{Kind: trace.KindArrive, Cycle: 10, Req: 2, Thread: 1, Bank: 1, Row: 9},
-			{Kind: trace.KindMark, Cycle: 50, Req: 1, Thread: 0, Bank: 0},
+			{Kind: trace.KindMark, Cycle: 50, Req: 1, Thread: 0},
 			{Kind: trace.KindBatch, Cycle: 50, Req: 0, Row: 1},
-			{Kind: trace.KindComplete, Cycle: 200, Req: 1, Thread: 0, Bank: 0, Row: 200},
-			{Kind: trace.KindComplete, Cycle: 900, Req: 2, Thread: 1, Bank: 1, Row: 890},
+			{Kind: trace.KindComplete, Cycle: 200, Req: 1, Thread: 0, Row: 200},
+			{Kind: trace.KindComplete, Cycle: 900, Req: 2, Thread: 1, Row: 890},
 		},
 		BatchPerThread: [][]int32{{1, 0}},
 	}
+}
+
+// jsonlOf renders log as parbs.trace/v1 JSONL.
+func jsonlOf(t *testing.T, log *trace.Log) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := trace.WriteJSONL(&buf, log); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
+
+// testTraceJSONL renders testTraceLog.
+func testTraceJSONL(t *testing.T) []byte { return jsonlOf(t, testTraceLog()) }
 
 // TestAnalysisEndpoints drives the full HTTP analysis surface: a traced
 // run's JSONL is retrievable, analyzable by reference and by direct POST,
@@ -50,7 +58,7 @@ func TestAnalysisEndpoints(t *testing.T) {
 	runner := func(ctx context.Context, spec Spec, sink Sink) (*Result, error) {
 		res := &Result{Report: json.RawMessage(`{"scheduler":"stub"}`)}
 		if spec.Trace != nil && spec.Trace.Events {
-			res.TraceEvents = jsonl
+			res.TraceLog = testTraceLog()
 		}
 		return res, nil
 	}

@@ -85,25 +85,14 @@ func (s *Server) resolveArm(name, ref string) (*analysis.Store, int, error) {
 	if e, ok := s.store.analysis(ref); ok {
 		return e.store, 0, nil
 	}
-	j, ok := s.store.Get(ref)
-	if !ok {
+	if _, ok := s.store.Get(ref); !ok {
 		return nil, http.StatusNotFound, fmt.Errorf("%s: unknown run or analysis %q", name, ref)
 	}
-	snap := s.store.Use(j)
-	if snap.Status != StatusDone {
-		return nil, http.StatusConflict, fmt.Errorf("%s: run %s is %s, not done", name, ref, snap.Status)
-	}
-	if snap.Evicted {
-		return nil, http.StatusGone, fmt.Errorf("%s: %w", name, errEvicted(ref))
-	}
-	if snap.Result == nil || len(snap.Result.TraceEvents) == 0 {
-		return nil, http.StatusConflict, fmt.Errorf("%s: run %s has no event trace; submit it with trace.events=true", name, ref)
-	}
-	st, err := analysis.Ingest(bytes.NewReader(snap.Result.TraceEvents))
+	log, code, err := s.runLog(ref, http.StatusConflict)
 	if err != nil {
-		return nil, http.StatusBadRequest, fmt.Errorf("%s: ingest trace of %s: %w", name, ref, err)
+		return nil, code, fmt.Errorf("%s: %w", name, err)
 	}
-	return st, 0, nil
+	return analysis.FromLog(log), 0, nil
 }
 
 // parseArmBytes sniffs an uploaded arm: a binary analysis snapshot (any

@@ -16,12 +16,11 @@ import (
 	"repro/internal/trace"
 )
 
-// testTraceJSONLB is the comparison arm for diff tests: same workload shape
-// as testTraceJSONL but an unbatched FR-FCFS-style run where thread 1
+// testTraceLogB is the comparison arm for diff tests: same workload shape
+// as testTraceLog but an unbatched FR-FCFS-style run where thread 1
 // finishes far sooner.
-func testTraceJSONLB(t *testing.T) []byte {
-	t.Helper()
-	log := &trace.Log{
+func testTraceLogB() *trace.Log {
+	return &trace.Log{
 		Meta: trace.Meta{
 			Policy: "FR-FCFS", Workload: "stub", Cores: 2, Banks: 2,
 			CPUPerDRAM: 10, TotalDRAM: 1000, ReadBufEntries: 64,
@@ -29,15 +28,10 @@ func testTraceJSONLB(t *testing.T) []byte {
 		Events: []trace.Event{
 			{Kind: trace.KindArrive, Cycle: 0, Req: 1, Thread: 0, Bank: 0, Row: 7},
 			{Kind: trace.KindArrive, Cycle: 10, Req: 2, Thread: 1, Bank: 1, Row: 9},
-			{Kind: trace.KindComplete, Cycle: 180, Req: 1, Thread: 0, Bank: 0, Row: 160},
-			{Kind: trace.KindComplete, Cycle: 400, Req: 2, Thread: 1, Bank: 1, Row: 380},
+			{Kind: trace.KindComplete, Cycle: 180, Req: 1, Thread: 0, Row: 160},
+			{Kind: trace.KindComplete, Cycle: 400, Req: 2, Thread: 1, Row: 380},
 		},
 	}
-	var buf bytes.Buffer
-	if err := trace.WriteJSONL(&buf, log); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // TestDiffEndpoints drives the cross-run diff surface: diff by run IDs, by
@@ -45,14 +39,14 @@ func testTraceJSONLB(t *testing.T) []byte {
 // and the error paths with their counters.
 func TestDiffEndpoints(t *testing.T) {
 	jsonlA := testTraceJSONL(t)
-	jsonlB := testTraceJSONLB(t)
+	jsonlB := jsonlOf(t, testTraceLogB())
 	runner := func(ctx context.Context, spec Spec, sink Sink) (*Result, error) {
 		res := &Result{Report: json.RawMessage(`{"scheduler":"stub"}`)}
 		if spec.Trace != nil && spec.Trace.Events {
 			if spec.Client == "db" {
-				res.TraceEvents = jsonlB
+				res.TraceLog = testTraceLogB()
 			} else {
-				res.TraceEvents = jsonlA
+				res.TraceLog = testTraceLog()
 			}
 		}
 		return res, nil

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,27 +10,67 @@ import (
 	"repro/internal/trace"
 )
 
-// Live analysis: GET /v1/analysis/{id}/live follows a run's trace stream as
-// it is produced, re-analyzing the growing prefix and pushing "report" SSE
-// events. Consistency model: every pushed report equals the post-hoc report
-// of the trace prefix received so far; once the run completes, the final
-// report event is byte-identical to analyzing the whole stored trace.
+// Live analysis: GET /v1/analysis/{id}/live follows a run's event log as it
+// is recorded, re-analyzing the growing prefix and pushing "report" SSE
+// events. Each follower renders the prefix as parbs.trace/v1 JSONL with its
+// own trace.Cursor and feeds a LiveIngester. Consistency model: every
+// pushed report equals the post-hoc report of the trace prefix ingested so
+// far; once the run completes, the final report is byte-identical to
+// analyzing the whole stored trace.
 
 // liveSendInterval rate-limits intermediate report events; the final report
 // after stream close is always sent.
 const liveSendInterval = 250 * time.Millisecond
 
-// firstLine returns the bytes up to (not including) the first newline.
-func firstLine(b []byte) []byte {
-	if i := bytes.IndexByte(b, '\n'); i >= 0 {
-		return b[:i]
-	}
-	return b
+// liveFeed renders successive prefixes of one event log into a
+// LiveIngester and counts the events ingested in the server's metrics.
+type liveFeed struct {
+	cur      trace.Cursor
+	li       *analysis.LiveIngester
+	metrics  *Metrics
+	fed      int // bytes fed so far
+	ingested int // events ingested so far, as last counted
 }
 
-// liveJob resolves the {id} run and its live trace buffer, writing the HTTP
-// error itself on failure: 404, 409 for a run without trace events, 410
-// once the retention budget evicted the run's payload.
+func (s *Server) newLiveFeed() *liveFeed {
+	return &liveFeed{li: analysis.NewLiveIngester(), metrics: s.metrics}
+}
+
+// Write feeds one rendered chunk. Event-line damage is absorbed (the prefix
+// stays queryable); header damage surfaces as a nil report.
+func (f *liveFeed) Write(p []byte) (int, error) {
+	f.li.Feed(p)
+	f.fed += len(p)
+	return len(p), nil
+}
+
+// step ingests log's events past those already fed, the header line first,
+// and reports whether it fed anything.
+func (f *liveFeed) step(log *trace.Log) bool {
+	before := f.fed
+	f.cur.WriteNew(f, log)
+	if n := f.li.Events(); n > f.ingested {
+		f.metrics.observeIngest(int64(n - f.ingested))
+		f.ingested = n
+	}
+	return f.fed > before
+}
+
+// finish ends the stream. A finished job's stored log, if it has one,
+// holds the rest of the run and the true drop count (live headers carry
+// zero).
+func (f *liveFeed) finish(stored *trace.Log) {
+	if stored != nil {
+		f.step(stored)
+		f.li.SetDropped(stored.Dropped)
+	}
+	f.li.Finalize()
+}
+
+// liveJob resolves the {id} run and checks that it publishes a live
+// prefix, writing the HTTP error itself on failure: 404, 409 for a run
+// without trace events, 410 once the retention budget evicted the run's
+// payload.
 func (s *Server) liveJob(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	j, ok := s.store.Get(r.PathValue("id"))
 	if !ok {
@@ -89,20 +128,9 @@ func (s *Server) handleAnalysisLive(w http.ResponseWriter, r *http.Request) {
 
 	s.metrics.liveSessionStart()
 	defer s.metrics.liveSessionEnd()
-	// Hold the buffer until this session has read it to the end.
-	defer j.live.follow()()
 
-	li := analysis.NewLiveIngester()
-	ingested := 0
-	feed := func(chunk []byte) {
-		// Event-line damage is absorbed (the prefix stays queryable); header
-		// damage surfaces as a nil report below.
-		li.Feed(chunk)
-		if n := li.Events(); n > ingested {
-			s.metrics.observeIngest(int64(n - ingested))
-			ingested = n
-		}
-	}
+	feed := s.newLiveFeed()
+	li := feed.li
 	send := func(event string, v any) {
 		data, _ := json.Marshal(v)
 		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
@@ -110,12 +138,9 @@ func (s *Server) handleAnalysisLive(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var lastSent time.Time
-	from := 0
 	for {
-		data, closed, wait := j.live.next(from)
-		if len(data) > 0 {
-			from += len(data)
-			feed(data)
+		log, closed, wait := j.live.next()
+		if log != nil && feed.step(log) {
 			if now := time.Now(); now.Sub(lastSent) >= liveSendInterval {
 				if rep := li.Report(opt); rep != nil {
 					send("report", rep)
@@ -133,19 +158,15 @@ func (s *Server) handleAnalysisLive(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Stream over: reconcile against the completed job. Cached replays never
-	// streamed a byte (feed the stored trace whole), and live stream headers
-	// carry events=0/dropped=0 — the finished log's header has the truth.
+	// Stream over: the stored log holds the rest of the run (all of it for
+	// a cached replay, which never published a prefix) and the true drop
+	// count.
 	snap := j.snapshot()
-	if snap.Result != nil && len(snap.Result.TraceEvents) > 0 {
-		if from == 0 {
-			feed(snap.Result.TraceEvents)
-		}
-		if _, dropped, _, err := trace.ParseHeader(firstLine(snap.Result.TraceEvents)); err == nil {
-			li.SetDropped(dropped)
-		}
+	var stored *trace.Log
+	if snap.Result != nil {
+		stored = snap.Result.TraceLog
 	}
-	li.Finalize()
+	feed.finish(stored)
 	rep := li.Report(opt)
 	if rep == nil {
 		msg := "no trace header received"
@@ -169,7 +190,7 @@ const liveWaitingPage = `<!DOCTYPE html>
 
 // handleAnalysisLiveDashboard serves the SVG dashboard of the run's current
 // trace prefix, auto-refreshing while the run is still producing events.
-// Stateless: each request re-ingests the prefix buffered so far.
+// Stateless: each request re-ingests the prefix published so far.
 func (s *Server) handleAnalysisLiveDashboard(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.liveJob(w, r)
 	if !ok {
@@ -180,23 +201,18 @@ func (s *Server) handleAnalysisLiveDashboard(w http.ResponseWriter, r *http.Requ
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	li := analysis.NewLiveIngester()
-	data, closed, _ := j.live.next(0)
+	feed := s.newLiveFeed()
+	log, closed, _ := j.live.next()
 	snap := j.snapshot()
-	if closed && snap.Result != nil && len(snap.Result.TraceEvents) > 0 {
-		// Completed run: the stored trace is authoritative (cached replays
-		// never streamed) and its header carries the true drop count.
-		li.Feed(snap.Result.TraceEvents)
-		if _, dropped, _, err := trace.ParseHeader(firstLine(snap.Result.TraceEvents)); err == nil {
-			li.SetDropped(dropped)
-		}
-		li.Finalize()
-	} else if len(data) > 0 {
-		li.Feed(data)
+	if closed && snap.Result != nil && snap.Result.TraceLog != nil {
+		// Completed run: the stored log is authoritative (cached replays
+		// never published a prefix) and carries the true drop count.
+		feed.finish(snap.Result.TraceLog)
+	} else if log != nil {
+		feed.step(log)
 	}
-	s.metrics.observeIngest(int64(li.Events()))
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	rep := li.Report(opt)
+	rep := feed.li.Report(opt)
 	if rep == nil {
 		fmt.Fprintf(w, liveWaitingPage, j.ID, j.ID)
 		return

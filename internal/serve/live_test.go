@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/trace"
 )
 
 // sseEvent is one parsed Server-Sent Event.
@@ -59,28 +60,41 @@ func lastByName(evs []sseEvent, name string) (sseEvent, int) {
 	return found, idx
 }
 
-// TestLiveAnalysisConvergence: following a running job's trace stream over
-// SSE yields a final report byte-identical to the post-hoc analysis of the
+// logPrefix is the prefix of log's first n events, as a recording tracer
+// would publish it.
+func logPrefix(log *trace.Log, n int) *trace.Log {
+	p := *log
+	p.Events = log.Events[:n]
+	batches := 0
+	for _, ev := range p.Events {
+		if ev.Kind == trace.KindBatch {
+			batches++
+		}
+	}
+	p.BatchPerThread = log.BatchPerThread[:batches]
+	return &p
+}
+
+// TestLiveAnalysisConvergence: following a running job's event log over SSE
+// yields a final report byte-identical to the post-hoc analysis of the
 // completed trace — the live pipeline's central consistency guarantee.
 func TestLiveAnalysisConvergence(t *testing.T) {
-	jsonl := testTraceJSONL(t)
-	lines := bytes.SplitAfter(jsonl, []byte("\n"))
+	log := testTraceLog()
+	jsonl := jsonlOf(t, log)
 	release := make(chan struct{})
 	runner := func(ctx context.Context, spec Spec, sink Sink) (*Result, error) {
 		res := &Result{Report: json.RawMessage(`{"scheduler":"stub"}`)}
 		if spec.Trace == nil || !spec.Trace.Events {
 			return res, nil
 		}
-		// Stream the header immediately, hold the rest until the follower
-		// attaches, then drip the events line by line.
-		sink.TraceChunk(lines[0])
+		// Publish the empty prefix immediately, hold the rest until the
+		// follower attaches, then grow it one event at a time.
+		sink.TraceLog(logPrefix(log, 0))
 		<-release
-		for _, ln := range lines[1:] {
-			if len(bytes.TrimSpace(ln)) > 0 {
-				sink.TraceChunk(ln)
-			}
+		for n := 1; n <= len(log.Events); n++ {
+			sink.TraceLog(logPrefix(log, n))
 		}
-		res.TraceEvents = jsonl
+		res.TraceLog = log
 		return res, nil
 	}
 	sv := New(Options{Workers: 1, Runner: runner})
@@ -170,18 +184,16 @@ func TestLiveAnalysisConvergence(t *testing.T) {
 // TestLiveDashboard: the live dashboard auto-refreshes while the run is in
 // flight and renders the full percentile-bearing view once it completes.
 func TestLiveDashboard(t *testing.T) {
-	jsonl := testTraceJSONL(t)
-	lines := bytes.SplitAfter(jsonl, []byte("\n"))
+	log := testTraceLog()
 	release := make(chan struct{})
 	runner := func(ctx context.Context, spec Spec, sink Sink) (*Result, error) {
 		res := &Result{Report: json.RawMessage(`{"scheduler":"stub"}`)}
 		if spec.Trace == nil || !spec.Trace.Events {
 			return res, nil
 		}
-		sink.TraceChunk(lines[0])
-		sink.TraceChunk(lines[1])
+		sink.TraceLog(logPrefix(log, 1))
 		<-release
-		res.TraceEvents = jsonl
+		res.TraceLog = log
 		return res, nil
 	}
 	sv := New(Options{Workers: 1, Runner: runner})

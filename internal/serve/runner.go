@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	parbs "repro"
+	"repro/internal/trace"
 )
 
 // Sink receives a running job's observability streams. Either hook may be
@@ -15,11 +16,13 @@ import (
 type Sink struct {
 	// Progress receives heartbeat snapshots (SSE /events, occupancy gauges).
 	Progress func(parbs.Progress)
-	// TraceChunk receives incremental parbs.trace/v1 JSONL: each call
-	// carries the bytes recorded since the previous one (header line
-	// first). Concatenated chunks form a valid prefix of the run's trace —
-	// the live-analysis endpoint ingests them as they arrive.
-	TraceChunk func([]byte)
+	// TraceLog receives the job's event log as recorded so far, at each
+	// heartbeat once the traced run has started. Each log extends the one
+	// before, and shares its storage with the running tracer, which only
+	// appends: it stays unchanged, may be read from any goroutine, and must
+	// not be modified. The live-analysis endpoints render their JSONL from
+	// it. A sharded run's events appear only once it ends.
+	TraceLog func(*trace.Log)
 }
 
 // Runner executes one validated job spec. The default is SimulationRunner;
@@ -101,26 +104,26 @@ func SimulationRunner(cache *parbs.AloneCache) Runner {
 			opts = append(opts, parbs.WithTelemetry(tel))
 		}
 		var tracer *parbs.Tracer
-		var stream *parbs.TraceStream
+		var traceLog func(*trace.Log)
 		if spec.Trace != nil {
 			tracer = parbs.NewTracer(parbs.TracerConfig{MaxEvents: spec.Trace.MaxEvents})
 			opts = append(opts, parbs.WithTrace(tracer))
-			if spec.Trace.Events && sink.TraceChunk != nil {
-				stream = tracer.Stream()
+			if spec.Trace.Events {
+				traceLog = sink.TraceLog
 			}
 		}
 		// Progress callbacks fire synchronously on this goroutine, where the
 		// shared run steps: RunContext relays the heartbeats of baselines it
 		// simulates on helper goroutines here too. This is the one place a
-		// mid-run trace flush is race-free.
-		if sink.Progress != nil || stream != nil {
+		// mid-run look at the tracer is race-free.
+		if sink.Progress != nil || traceLog != nil {
 			opts = append(opts, parbs.WithProgress(func(p parbs.Progress) {
 				if sink.Progress != nil {
 					sink.Progress(p)
 				}
-				if stream != nil {
-					if chunk, err := stream.Flush(); err == nil && chunk != nil {
-						sink.TraceChunk(chunk)
+				if traceLog != nil {
+					if log := tracer.Log(); log != nil {
+						traceLog(log)
 					}
 				}
 			}))
@@ -128,14 +131,6 @@ func SimulationRunner(cache *parbs.AloneCache) Runner {
 		rep, err := parbs.RunContext(ctx, spec.system(), w, sched, opts...)
 		if err != nil {
 			return nil, err
-		}
-		if stream != nil {
-			// Final flush after the run: everything the last progress
-			// heartbeat had not yet seen (sharded runs deliver all their
-			// events here, after the shard merge).
-			if chunk, err := stream.Flush(); err == nil && chunk != nil {
-				sink.TraceChunk(chunk)
-			}
 		}
 		res := &Result{}
 		if res.Report, err = marshalReport(rep); err != nil {
@@ -151,9 +146,7 @@ func SimulationRunner(cache *parbs.AloneCache) Runner {
 				return nil, fmt.Errorf("render trace: %w", err)
 			}
 			if spec.Trace.Events {
-				if res.TraceEvents, err = tracer.EventsJSONL(); err != nil {
-					return nil, fmt.Errorf("render trace events: %w", err)
-				}
+				res.TraceLog = tracer.Log().Clone()
 			}
 		}
 		return res, nil

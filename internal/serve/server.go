@@ -227,7 +227,7 @@ func (s *Server) safeRun(ctx context.Context, j *Job) (res *Result, err error) {
 		},
 	}
 	if j.live != nil {
-		sink.TraceChunk = j.live.append
+		sink.TraceLog = j.live.publish
 	}
 	return s.opts.Runner(ctx, j.Spec, sink)
 }

@@ -82,9 +82,10 @@ type TelemetrySpec struct {
 	MaxEpochs   int   `json:"max_epochs,omitempty"`
 }
 
-// TraceSpec mirrors parbs.TracerConfig. Events additionally keeps the raw
-// parbs.trace/v1 JSONL in the result, served at GET /v1/runs/{id}/trace
-// and analyzable in place via POST /v1/analysis {"run": id}.
+// TraceSpec mirrors parbs.TracerConfig. Events additionally keeps the
+// run's event log in the result, served as parbs.trace/v1 JSONL at GET
+// /v1/runs/{id}/trace and analyzable in place via POST /v1/analysis
+// {"run": id}.
 type TraceSpec struct {
 	MaxEvents int  `json:"max_events,omitempty"`
 	Events    bool `json:"events,omitempty"`

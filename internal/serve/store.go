@@ -10,6 +10,7 @@ import (
 
 	parbs "repro"
 	"repro/internal/analysis"
+	"repro/internal/trace"
 )
 
 // Status is a job's lifecycle state.
@@ -24,9 +25,9 @@ const (
 )
 
 // Result is a completed job's payload: the run report and, when requested,
-// the embedded parbs.telemetry/v1 report and/or Chrome trace-event
-// artifact. Results are immutable once published and shared between a job
-// and the content-hash cache.
+// the embedded parbs.telemetry/v1 report, the Chrome trace-event artifact
+// and the typed event log. Results are immutable once published and shared
+// between a job and the content-hash cache.
 //
 // A published Result's Report, Telemetry and Trace are canonical: each is
 // empty or one valid JSON value in the exact form encoding/json embeds a
@@ -37,16 +38,17 @@ type Result struct {
 	Report    json.RawMessage
 	Telemetry json.RawMessage
 	Trace     json.RawMessage
-	// TraceEvents is the raw parbs.trace/v1 JSONL, kept when the spec set
-	// trace.events. Served at GET /v1/runs/{id}/trace and consumed by
-	// POST /v1/analysis {"run": id}; not embedded in the job view (it can
-	// be megabytes).
-	TraceEvents []byte
+	// TraceLog is the run's event log, kept when the spec set trace.events.
+	// POST /v1/analysis {"run": id} and diffs by run analyze it directly;
+	// GET /v1/runs/{id}/trace renders it as parbs.trace/v1 JSONL. It is
+	// not embedded in the job view (it can be megabytes).
+	TraceLog *trace.Log
 }
 
-// size is the payload's charge against the retention budget.
+// size is the payload's charge against the retention budget: the
+// artifacts' bytes and the memory the event log holds.
 func (r *Result) size() int64 {
-	return int64(len(r.Report) + len(r.Telemetry) + len(r.Trace) + len(r.TraceEvents))
+	return int64(len(r.Report)+len(r.Telemetry)+len(r.Trace)) + r.TraceLog.Bytes()
 }
 
 // Job is one accepted simulation run.
@@ -79,8 +81,8 @@ type Job struct {
 	// on it.
 	done chan struct{}
 	subs *broadcaster
-	// live buffers the job's incremental trace chunks for live analysis;
-	// nil unless the spec requested trace events.
+	// live publishes the job's event-log prefix for live analysis; nil
+	// unless the spec requested trace events.
 	live *liveTrace
 }
 
@@ -126,13 +128,13 @@ func (j *Job) finishCached(res *Result, now time.Time) {
 }
 
 // closeStreams wakes everything waiting on the job's end. Once a stored
-// trace exists, the live buffer is only a second copy of it and is
-// released as soon as no follower is reading it.
+// log exists, the live prefix is dropped: live readers continue from the
+// stored log.
 func (j *Job) closeStreams(res *Result) {
 	close(j.done)
 	j.subs.close()
 	if j.live != nil {
-		j.live.closeStream(res != nil && len(res.TraceEvents) > 0)
+		j.live.closeStream(res != nil && res.TraceLog != nil)
 	}
 }
 
@@ -470,26 +472,22 @@ func (st *Store) Jobs() int {
 	return len(st.jobs)
 }
 
-// liveTrace accumulates a running job's incremental trace chunks and lets
-// followers read the growing prefix. Unlike the progress broadcaster it
-// never drops: live analysis needs every byte, not just the newest. The
-// buffer is bounded by the tracer's own MaxEvents cap upstream, so a
-// follower is at most one trace-artifact's worth of memory behind.
+// liveTrace publishes a running job's event-log prefix to its /live
+// followers. Unlike the progress broadcaster it loses nothing: each
+// heartbeat's prefix extends the last, and every follower renders its own
+// JSONL from whatever prefix it reads. The prefix shares its storage with
+// the running tracer, so publishing costs no copy.
 //
-// Once the job has finished with a stored trace, the buffer is a second
-// copy of it: it is released as soon as no follower is attached, and later
-// readers find it empty and read the stored trace instead. A failed job has
-// no stored trace and keeps its buffer.
+// Once the job has finished with a stored log the prefix is dropped:
+// followers continue from the stored log, which the retention budget
+// charges and may evict, and hold nothing of the job's past their own
+// reference. A failed job has no stored log and keeps its last prefix.
 type liveTrace struct {
 	mu     sync.Mutex
-	buf    []byte
+	log    *trace.Log
 	closed bool
-	// stored: the job's stored trace supersedes buf, so buf goes with the
-	// last follower.
-	stored    bool
-	followers int
-	// notify closes and is replaced whenever the buffer grows or the
-	// stream closes; followers wait on the instance they last observed.
+	// notify closes and is replaced whenever a longer prefix arrives or
+	// the stream closes; followers wait on the instance they last observed.
 	notify chan struct{}
 }
 
@@ -497,21 +495,21 @@ func newLiveTrace() *liveTrace {
 	return &liveTrace{notify: make(chan struct{})}
 }
 
-// append adds a chunk (called from the simulation goroutine's sink hook).
-func (lt *liveTrace) append(chunk []byte) {
+// publish replaces the prefix (called from the simulation goroutine's sink
+// hook). A prefix no longer than the current one wakes nobody.
+func (lt *liveTrace) publish(log *trace.Log) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	if lt.closed {
+	if lt.closed || lt.log != nil && len(log.Events) <= len(lt.log.Events) {
 		return
 	}
-	lt.buf = append(lt.buf, chunk...)
+	lt.log = log
 	close(lt.notify)
 	lt.notify = make(chan struct{})
 }
 
 // closeStream marks the stream complete and wakes all followers. stored
-// reports that the job kept its trace, which releases the buffer once no
-// follower is reading it.
+// reports that the job kept its log, which supersedes the prefix.
 func (lt *liveTrace) closeStream(stored bool) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
@@ -519,41 +517,19 @@ func (lt *liveTrace) closeStream(stored bool) {
 		return
 	}
 	lt.closed = true
-	lt.stored = stored
-	lt.releaseLocked()
+	if stored {
+		lt.log = nil
+	}
 	close(lt.notify)
 }
 
-// follow registers a reader of the buffer; the returned func unregisters
-// it. The buffer outlives the job's end while any follower remains.
-func (lt *liveTrace) follow() (leave func()) {
+// next returns the current prefix (nil before the run has started and
+// after a stored close), whether the stream has closed, and a channel that
+// signals a longer prefix or the close.
+func (lt *liveTrace) next() (log *trace.Log, closed bool, wait <-chan struct{}) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	lt.followers++
-	return func() {
-		lt.mu.Lock()
-		defer lt.mu.Unlock()
-		lt.followers--
-		lt.releaseLocked()
-	}
-}
-
-// releaseLocked drops the buffer once it is superseded and unread.
-func (lt *liveTrace) releaseLocked() {
-	if lt.stored && lt.followers == 0 {
-		lt.buf = nil
-	}
-}
-
-// next returns the bytes past from, whether the stream has closed, and a
-// channel that signals further growth (nil data when nothing new yet).
-func (lt *liveTrace) next(from int) (data []byte, closed bool, wait <-chan struct{}) {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	if from < len(lt.buf) {
-		return lt.buf[from:], lt.closed, lt.notify
-	}
-	return nil, lt.closed, lt.notify
+	return lt.log, lt.closed, lt.notify
 }
 
 // broadcaster fans a job's progress heartbeats out to its SSE subscribers.

@@ -414,15 +414,16 @@ func TestCursorWriteNewAllocs(t *testing.T) {
 			tr.BatchDrained(i/16, i+50, 50)
 		}
 	}
-	cur := tr.NewCursor()
+	var cur Cursor
+	log := tr.Log()
 	var out bytes.Buffer
-	if err := cur.WriteNew(&out); err != nil { // header and first growth
+	if err := cur.WriteNew(&out, log); err != nil { // header and first growth
 		t.Fatal(err)
 	}
 	n := testing.AllocsPerRun(20, func() {
 		cur.next, cur.batches = 0, 0
 		out.Reset()
-		if err := cur.WriteNew(&out); err != nil {
+		if err := cur.WriteNew(&out, log); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -17,11 +17,11 @@ func TestCursorIncrementalMatchesWriteJSONL(t *testing.T) {
 	tr.Bind(Meta{Policy: "PAR-BS", Workload: "test", Cores: 2, Banks: 2,
 		Channels: 3, CPUPerDRAM: 4, WarmupDRAM: 100, TotalDRAM: 1000,
 		MarkingCap: 2, ReadBufEntries: 4})
-	cur := tr.NewCursor()
+	var cur Cursor
 	var live bytes.Buffer
 
 	flush := func() {
-		if err := cur.WriteNew(&live); err != nil {
+		if err := cur.WriteNew(&live, tr.Log()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -44,7 +44,7 @@ func renderings(t *testing.T, log *trace.Log) (jsonl, chrome []byte) {
 func cursorStream(t *testing.T, tr *trace.Tracer) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := tr.NewCursor().WriteNew(&buf); err != nil {
+	if err := new(trace.Cursor).WriteNew(&buf, tr.Log()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

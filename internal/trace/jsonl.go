@@ -93,39 +93,34 @@ func WriteJSONL(w io.Writer, log *Log) error {
 	return err
 }
 
-// Cursor incrementally renders a tracer's recorded events as parbs.trace/v1
-// JSONL: each WriteNew call emits the events recorded since the previous
-// call, opening the stream with a header line on the first. The header's
-// events and dropped counts are written as zero — they are unknowable while
-// the run is still recording — so live consumers must treat them as hints
-// and reconcile the real drop count after the run (the completed log's
-// header, written by WriteJSONL, carries the truth).
+// Cursor incrementally renders a growing event log as parbs.trace/v1
+// JSONL: each WriteNew call emits the events of the given log past the
+// ones already rendered, opening the stream with a header line on the
+// first. The header's events and dropped counts are written as zero — they
+// are unknowable while the run is still recording — so live consumers must
+// treat them as hints and reconcile the real drop count after the run (the
+// completed log's header, written by WriteJSONL, carries the truth).
 //
-// A Cursor shares the Tracer's single-goroutine discipline: call WriteNew
-// only from the goroutine that owns the tracer (in practice, from inside a
-// progress callback, which the engines invoke synchronously on the
-// simulation goroutine) or after the run has returned.
+// Successive logs must extend one another: each a prefix of the next, as
+// the Logs a recording Tracer returns are (it only appends). The zero
+// Cursor is positioned at the start of a stream.
 type Cursor struct {
-	t          *Tracer
 	next       int // first event not yet rendered
-	batches    int // KindBatch events rendered so far (batchPT index)
+	batches    int // KindBatch events rendered so far (BatchPerThread index)
 	headerDone bool
 	buf        []byte // rendering scratch, reused across calls
 }
-
-// NewCursor returns a cursor positioned at the start of t's event stream.
-func (t *Tracer) NewCursor() *Cursor { return &Cursor{t: t} }
 
 // Bound reports whether the tracer has been bound to a run (run metadata
 // is only trustworthy afterwards).
 func (t *Tracer) Bound() bool { return t.bound }
 
-// WriteNew renders every event recorded since the previous call (plus the
-// header line on the first call) and advances the cursor. The chunk goes
-// to w in one Write; on an event it cannot encode, the lines before it are
-// still written.
-func (c *Cursor) WriteNew(w io.Writer) error {
-	buf, err := c.render(c.buf[:0])
+// WriteNew renders every event of log past the cursor (plus the header
+// line on the first call) and advances the cursor. The chunk goes to w in
+// one Write; on an event it cannot encode, the lines before it are still
+// written.
+func (c *Cursor) WriteNew(w io.Writer, log *Log) error {
+	buf, err := c.render(c.buf[:0], log)
 	c.buf = buf
 	if len(buf) > 0 {
 		if _, werr := w.Write(buf); werr != nil {
@@ -137,20 +132,20 @@ func (c *Cursor) WriteNew(w io.Writer) error {
 
 // render appends the header (first call only) and the new event lines to
 // buf, stopping at the first event it cannot encode.
-func (c *Cursor) render(buf []byte) ([]byte, error) {
+func (c *Cursor) render(buf []byte, log *Log) ([]byte, error) {
 	if !c.headerDone {
 		var err error
-		if buf, err = appendHeaderLine(buf, c.t.meta, 0, 0); err != nil {
+		if buf, err = appendHeaderLine(buf, log.Meta, 0, 0); err != nil {
 			return buf, err
 		}
 		c.headerDone = true
 	}
-	for ; c.next < len(c.t.events); c.next++ {
-		ev := c.t.events[c.next]
+	for ; c.next < len(log.Events); c.next++ {
+		ev := log.Events[c.next]
 		var pt []int32
 		if ev.Kind == KindBatch {
-			if c.batches < len(c.t.batchPT) {
-				pt = c.t.batchPT[c.batches]
+			if c.batches < len(log.BatchPerThread) {
+				pt = log.BatchPerThread[c.batches]
 			}
 			c.batches++
 		}

@@ -22,7 +22,11 @@
 // Marking-Cap bound.
 package trace
 
-import "repro/internal/dram"
+import (
+	"unsafe"
+
+	"repro/internal/dram"
+)
 
 // Schema identifies the JSONL event-log wire format. Bump the version
 // suffix on any incompatible change; NewScanner rejects mismatched schemas.
@@ -243,7 +247,10 @@ func (t *Tracer) BatchDrained(batch int64, now int64, duration int64) {
 }
 
 // Log snapshots the recorded run as an immutable event log, the common
-// input of the renderers.
+// input of the renderers. The log shares the tracer's storage, which only
+// grows by append (MergeShards replaces it whole), so a log taken
+// mid-run is a prefix of every later one and stays unchanged while the
+// run goes on.
 func (t *Tracer) Log() *Log {
 	return &Log{Meta: t.meta, Dropped: t.dropped, Events: t.events, BatchPerThread: t.batchPT}
 }
@@ -258,4 +265,29 @@ type Log struct {
 	// BatchPerThread holds per-thread marked counts for the i-th KindBatch
 	// event in Events.
 	BatchPerThread [][]int32
+}
+
+// Clone returns a copy of the log whose event and batch slices are exactly
+// as long as their contents, so a retained log holds no append slack. The
+// per-thread batch counts are immutable and shared.
+func (l *Log) Clone() *Log {
+	c := *l
+	c.Events = append(make([]Event, 0, len(l.Events)), l.Events...)
+	c.BatchPerThread = append(make([][]int32, 0, len(l.BatchPerThread)), l.BatchPerThread...)
+	return &c
+}
+
+// Bytes returns the memory the log holds, counted by capacity: what
+// retaining it costs. A nil log holds nothing.
+func (l *Log) Bytes() int64 {
+	if l == nil {
+		return 0
+	}
+	n := int64(unsafe.Sizeof(*l)) + int64(len(l.Meta.Policy)+len(l.Meta.Workload)) +
+		int64(unsafe.Sizeof(Event{}))*int64(cap(l.Events)) +
+		int64(unsafe.Sizeof([]int32(nil)))*int64(cap(l.BatchPerThread))
+	for _, pt := range l.BatchPerThread {
+		n += 4 * int64(cap(pt))
+	}
+	return n
 }

@@ -115,43 +115,17 @@ func WithTrace(t *Tracer) RunOption {
 	return func(rc *runConfig) { rc.tracer = t }
 }
 
-// TraceStream incrementally renders a tracer's event log as TraceSchema
-// JSONL while the run is still executing: each Flush returns the bytes for
-// the events recorded since the previous Flush (the first non-empty flush
-// is prefixed with the stream's header line). Concatenating every chunk
-// yields a valid parbs.trace/v1 stream covering a prefix of the run —
-// except that the live header carries zero event/drop counts (they are
-// unknown mid-run); consumers reconcile the real drop count from the
-// completed log.
-//
-// Flush is only safe where the tracer itself is quiescent: inside a
-// WithProgress callback (the engines invoke progress synchronously on the
-// simulation goroutine) or after RunContext returns. Calling it from any
-// other goroutine during a run is a data race.
-type TraceStream struct {
-	t      *Tracer
-	cursor *trace.Cursor
-}
-
-// Stream returns an incremental JSONL view of the tracer's recording.
-func (t *Tracer) Stream() *TraceStream { return &TraceStream{t: t} }
-
-// Flush returns the JSONL bytes for events recorded since the last call,
-// or nil when the tracer has not yet been bound to a run or nothing new
-// was recorded. See TraceStream for when it is safe to call.
-func (st *TraceStream) Flush() ([]byte, error) {
-	if !st.t.bound || !st.t.inner.Bound() {
-		return nil, nil
+// Log returns the recorded event log: the prefix recorded so far when
+// called inside a WithProgress callback (the only place it is safe to call
+// during a run), the whole run once RunContext has returned, and nil before
+// the run has started. The log shares the tracer's storage, which only
+// grows by append, so a prefix stays valid and unchanged while the run goes
+// on and may be handed to other goroutines; it must not be modified. A
+// sharded (Independent-channel) run records its events into the log only
+// when it ends.
+func (t *Tracer) Log() *trace.Log {
+	if !t.bound || !t.inner.Bound() {
+		return nil
 	}
-	if st.cursor == nil {
-		st.cursor = st.t.inner.NewCursor()
-	}
-	var buf bytes.Buffer
-	if err := st.cursor.WriteNew(&buf); err != nil {
-		return nil, err
-	}
-	if buf.Len() == 0 {
-		return nil, nil
-	}
-	return buf.Bytes(), nil
+	return t.inner.Log()
 }
