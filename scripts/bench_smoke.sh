@@ -17,7 +17,8 @@ floor="$(awk '/"name": "BenchmarkSimulatedCyclesPerSecond"/{grab=1} grab && /"af
 
 out="$(go test -run '^$' -bench 'SimulatedCyclesPerSecond$' -benchtime 1s .)"
 printf '%s\n' "$out"
-measured="$(printf '%s\n' "$out" | awk '/BenchmarkSimulatedCyclesPerSecond / {for (i=1;i<NF;i++) if ($(i+1)=="DRAMcycles/s") print $i}')"
+# go test suffixes the name with -GOMAXPROCS when it is above 1.
+measured="$(printf '%s\n' "$out" | awk '/^BenchmarkSimulatedCyclesPerSecond(-[0-9]+)?[ \t]/ {for (i=1;i<NF;i++) if ($(i+1)=="DRAMcycles/s") print $i}')"
 [ -n "$measured" ] || { echo "bench_smoke.sh: could not parse benchmark output" >&2; exit 1; }
 
 go test -run '^$' -bench 'PolicyDecision' -benchtime 1x . > /dev/null

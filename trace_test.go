@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/trace"
 )
 
 // TestWithTraceEndToEnd drives the public tracing surface: a traced run
@@ -98,5 +100,52 @@ func TestTelemetryDroppedSurfaced(t *testing.T) {
 	}
 	if tel.Dropped() == 0 {
 		t.Errorf("tiny 2-epoch ring over a long run dropped nothing (epochs=%d)", tel.Epochs())
+	}
+}
+
+// TestTracerLogPrefixes: Log is nil before the run, and the logs taken at
+// heartbeats are prefixes of the finished log that stay unchanged while
+// the run goes on, which is what lets parbs-serve hand them to other
+// goroutines without a copy. The finished log renders as EventsJSONL does.
+func TestTracerLogPrefixes(t *testing.T) {
+	w, err := WorkloadFromNames("mcf", "lbm", "hmmer", "h264ref")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTracer(TracerConfig{})
+	if tr.Log() != nil {
+		t.Fatal("log before the run")
+	}
+	type taken struct {
+		log    *trace.Log
+		events []trace.Event // copied when taken
+	}
+	var prefixes []taken
+	progress := WithProgress(func(Progress) {
+		if log := tr.Log(); log != nil {
+			prefixes = append(prefixes, taken{log, append([]trace.Event(nil), log.Events...)})
+		}
+	})
+	if _, err := RunContext(context.Background(), quickSystem(4), w, NewPARBS(PARBSOptions{}), WithTrace(tr), progress); err != nil {
+		t.Fatal(err)
+	}
+	final := tr.Log()
+	if len(prefixes) < 2 || len(prefixes[0].events) == len(final.Events) {
+		t.Fatalf("%d heartbeat logs, none a mid-run prefix of the %d events", len(prefixes), len(final.Events))
+	}
+	for i, p := range prefixes {
+		if !slices.Equal(p.log.Events, p.events) {
+			t.Fatalf("heartbeat log %d changed after it was taken", i)
+		}
+		if !slices.Equal(p.events, final.Events[:len(p.events)]) {
+			t.Fatalf("heartbeat log %d is not a prefix of the finished log", i)
+		}
+	}
+	var rendered bytes.Buffer
+	if err := trace.WriteJSONL(&rendered, final); err != nil {
+		t.Fatal(err)
+	}
+	if events, _ := tr.EventsJSONL(); !bytes.Equal(rendered.Bytes(), events) {
+		t.Error("the finished log renders differently from EventsJSONL")
 	}
 }
