@@ -138,20 +138,26 @@ func (s *Store) grow(n int) {
 // FromLog builds a store from an in-memory event log (a completed Tracer's
 // Log).
 func FromLog(log *trace.Log) *Store {
-	s := &Store{meta: log.Meta, dropped: log.Dropped, truncated: log.Dropped > 0}
+	s := &Store{}
 	s.grow(len(log.Events))
-	batch := 0
-	for _, ev := range log.Events {
+	s.extend(log)
+	return s
+}
+
+// extend appends the events of log past the store's own, and takes the
+// log's metadata and drop count. log must extend the events already stored,
+// as each Log of a recording Tracer extends the one before. A batch event
+// whose per-thread shape the log does not hold stores a nil shape.
+func (s *Store) extend(log *trace.Log) {
+	s.meta, s.dropped = log.Meta, log.Dropped
+	s.truncated = s.ingestTruncated || log.Dropped > 0
+	for _, ev := range log.Events[len(s.kind):] {
 		var pt []int32
-		if ev.Kind == trace.KindBatch {
-			if batch < len(log.BatchPerThread) {
-				pt = log.BatchPerThread[batch]
-			}
-			batch++
+		if ev.Kind == trace.KindBatch && len(s.batchPT) < len(log.BatchPerThread) {
+			pt = log.BatchPerThread[len(s.batchPT)]
 		}
 		s.append(ev, pt)
 	}
-	return s
 }
 
 // Ingest streams a parbs.trace/v1 JSONL log into a store. Truncated input

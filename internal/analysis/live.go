@@ -2,26 +2,30 @@ package analysis
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 
 	"repro/internal/trace"
 )
 
-// LiveIngester incrementally consumes a parbs.trace/v1 JSONL stream that is
-// still being produced — a running job's trace chunks, or a file tailed on
-// disk — and keeps a columnar store current so windowed reports can be
-// computed at any moment without rescanning.
+// LiveIngester keeps a columnar store current with a trace that is still
+// being produced, so windowed reports can be computed at any moment
+// without rescanning. It follows one of two sources: a parbs.trace/v1 JSONL
+// stream fed in chunks (a file tailed on disk) through Feed, or the
+// successive typed logs of a recording Tracer (a running serve job)
+// through FeedLog.
 //
-// Consistency model: every report reflects exactly the complete lines fed
-// so far — a prefix of the trace. Report(opt) at any instant returns
-// byte-identical aggregates to Ingest-ing that same prefix post hoc and
-// calling Analyze(opt); once the stream ends (Finalize after the last Feed)
-// the live report converges to the post-hoc report of the whole trace.
+// Consistency model: every report reflects exactly the input fed so far —
+// a prefix of the trace. Report(opt) at any instant returns byte-identical
+// aggregates to Ingest-ing the complete lines fed (or FromLog of the last
+// log fed) and calling Analyze(opt); once the stream ends (Finalize after
+// the last Feed, or the completed log) the live report converges to the
+// post-hoc report of the whole trace.
 //
-// Damage handling mirrors Ingest: a malformed line marks the store
-// ingest-truncated and permanently stops consumption (everything after the
-// first tear is untrustworthy), but the prefix already ingested stays
-// queryable. Header damage is the only fatal error.
+// Damage handling mirrors Ingest: a malformed or overlong line marks the
+// store ingest-truncated and permanently stops consumption (everything
+// after the first tear is untrustworthy), but the prefix already ingested
+// stays queryable. Header damage is the only fatal error.
 //
 // All methods are safe for concurrent use; feeding and reporting may come
 // from different goroutines.
@@ -30,49 +34,57 @@ type LiveIngester struct {
 
 	store      *Store
 	buf        []byte // undelivered tail: bytes after the last newline fed
-	headerSeen bool
-	headerEvs  int // event count promised by the header (0 on live streams)
+	headerSeen bool   // the header line, or the first log, was taken
+	headerEvs  int    // event count promised by the header, a hint
 	damaged    bool
 	finalized  bool
 	headerErr  error
 }
 
+// errLineTooLong is the damage of a line no JSONL reader accepts.
+var errLineTooLong = fmt.Errorf("trace: line of %d bytes or more", trace.MaxLineBytes)
+
 // NewLiveIngester returns an empty ingester awaiting the stream's header
-// line.
+// line or its first log.
 func NewLiveIngester() *LiveIngester {
 	return &LiveIngester{store: &Store{}}
 }
 
 // Feed appends a chunk of the stream. Chunks may split lines arbitrarily;
-// incomplete tails are buffered until the terminating newline arrives. The
-// only error is header damage — nothing trustworthy follows a bad header.
-// Event-line damage is absorbed: the store is flagged ingest-truncated and
-// later chunks are ignored.
+// incomplete tails are buffered until the terminating newline arrives, up
+// to trace.MaxLineBytes. The only error is header damage — nothing
+// trustworthy follows a bad header. Event-line damage is absorbed: the
+// store is flagged ingest-truncated and later chunks are ignored.
 func (li *LiveIngester) Feed(chunk []byte) error {
 	li.mu.Lock()
 	defer li.mu.Unlock()
 	if li.damaged || li.finalized {
 		return li.headerErr
 	}
+	from := len(li.buf) // the tail held before this chunk has no newline
 	li.buf = append(li.buf, chunk...)
 	for {
-		nl := bytes.IndexByte(li.buf, '\n')
+		nl := bytes.IndexByte(li.buf[from:], '\n')
 		if nl < 0 {
-			return nil
+			break
 		}
-		line := li.buf[:nl]
-		li.buf = li.buf[nl+1:]
-		if err := li.consumeLine(line); err != nil {
+		line := li.buf[:from+nl]
+		li.buf, from = li.buf[from+nl+1:], 0
+		if err := li.consumeLine(line); err != nil || li.damaged {
 			return err
 		}
-		if li.damaged {
-			return nil
-		}
 	}
+	if len(li.buf) >= trace.MaxLineBytes {
+		return li.damage(errLineTooLong)
+	}
+	return nil
 }
 
 // consumeLine ingests one complete line under li.mu.
 func (li *LiveIngester) consumeLine(line []byte) error {
+	if len(line) >= trace.MaxLineBytes {
+		return li.damage(errLineTooLong)
+	}
 	if len(bytes.TrimSpace(line)) == 0 {
 		return nil
 	}
@@ -82,9 +94,7 @@ func (li *LiveIngester) consumeLine(line []byte) error {
 			err = checkShape(meta)
 		}
 		if err != nil {
-			li.damaged = true
-			li.headerErr = err
-			return err
+			return li.damage(err)
 		}
 		li.headerSeen = true
 		li.headerEvs = events
@@ -96,14 +106,39 @@ func (li *LiveIngester) consumeLine(line []byte) error {
 	}
 	ev, pt, err := trace.ParseEventLine(line)
 	if err != nil {
-		// First tear: keep the prefix, refuse everything after.
-		li.store.truncated = true
-		li.store.ingestTruncated = true
-		li.damaged = true
-		return nil
+		return li.damage(err)
 	}
 	li.store.append(ev, pt)
 	return nil
+}
+
+// damage records the first tear under li.mu and stops consumption. Before
+// the header it is fatal: the error is returned now and by every later
+// Feed. After it, the prefix stays queryable, flagged ingest-truncated.
+func (li *LiveIngester) damage(err error) error {
+	li.damaged = true
+	li.buf = nil
+	if !li.headerSeen {
+		li.headerErr = err
+		return err
+	}
+	li.store.truncated = true
+	li.store.ingestTruncated = true
+	return nil
+}
+
+// FeedLog takes the events of log past those already ingested, with the
+// log's metadata and drop count. Each log fed must extend the one before,
+// as the Logs of a recording Tracer do; the report then equals
+// FromLog(log).Analyze.
+func (li *LiveIngester) FeedLog(log *trace.Log) {
+	li.mu.Lock()
+	defer li.mu.Unlock()
+	if !li.headerSeen {
+		li.headerSeen = true
+		li.store.grow(len(log.Events))
+	}
+	li.store.extend(log)
 }
 
 // Finalize declares the stream complete: a buffered unterminated tail is
@@ -124,20 +159,9 @@ func (li *LiveIngester) Finalize() {
 	li.buf = nil
 }
 
-// SetDropped reconciles the record-time drop count once the true value is
-// known (live stream headers carry zero — the count is unknowable mid-run;
-// the completed log's header has the truth).
-func (li *LiveIngester) SetDropped(n int64) {
-	li.mu.Lock()
-	defer li.mu.Unlock()
-	li.store.dropped = n
-	if n > 0 {
-		li.store.truncated = true
-	}
-}
-
 // Report computes the windowed analysis of the prefix ingested so far, or
-// nil before the header line has arrived (there is no run to describe yet).
+// nil before the header line or the first log has arrived (there is no run
+// to describe yet).
 // The returned report is a self-contained value; the ingester keeps moving
 // underneath it.
 func (li *LiveIngester) Report(opt Options) *Report {
@@ -149,15 +173,8 @@ func (li *LiveIngester) Report(opt Options) *Report {
 	return li.store.Analyze(opt)
 }
 
-// HeaderSeen reports whether the stream's header line has been ingested.
-func (li *LiveIngester) HeaderSeen() bool {
-	li.mu.Lock()
-	defer li.mu.Unlock()
-	return li.headerSeen
-}
-
-// HeaderEvents returns the event count promised by the header (zero on
-// live streams, whose headers are written before the run finishes).
+// HeaderEvents returns the event count promised by the header: a hint,
+// zero from a writer that wrote the header before the run finished.
 func (li *LiveIngester) HeaderEvents() int {
 	li.mu.Lock()
 	defer li.mu.Unlock()

@@ -12,59 +12,39 @@ import (
 
 // Live analysis: GET /v1/analysis/{id}/live follows a run's event log as it
 // is recorded, re-analyzing the growing prefix and pushing "report" SSE
-// events. Each follower renders the prefix as parbs.trace/v1 JSONL with its
-// own trace.Cursor and feeds a LiveIngester. Consistency model: every
-// pushed report equals the post-hoc report of the trace prefix ingested so
-// far; once the run completes, the final report is byte-identical to
-// analyzing the whole stored trace.
+// events. Each follower feeds the typed prefixes it reads to its own
+// LiveIngester, which appends only the events past those it holds.
+// Consistency model: every pushed report equals analysis.FromLog of the
+// prefix fed so far; once the run completes, the final report is
+// byte-identical to analyzing the stored log.
 
 // liveSendInterval rate-limits intermediate report events; the final report
 // after stream close is always sent.
 const liveSendInterval = 250 * time.Millisecond
 
-// liveFeed renders successive prefixes of one event log into a
-// LiveIngester and counts the events ingested in the server's metrics.
+// liveFeed feeds successive prefixes of one event log into a LiveIngester
+// and counts the events ingested in the server's metrics.
 type liveFeed struct {
-	cur      trace.Cursor
 	li       *analysis.LiveIngester
 	metrics  *Metrics
-	fed      int // bytes fed so far
-	ingested int // events ingested so far, as last counted
+	ingested int // events ingested so far, -1 before the first log
 }
 
 func (s *Server) newLiveFeed() *liveFeed {
-	return &liveFeed{li: analysis.NewLiveIngester(), metrics: s.metrics}
+	return &liveFeed{li: analysis.NewLiveIngester(), metrics: s.metrics, ingested: -1}
 }
 
-// Write feeds one rendered chunk. Event-line damage is absorbed (the prefix
-// stays queryable); header damage surfaces as a nil report.
-func (f *liveFeed) Write(p []byte) (int, error) {
-	f.li.Feed(p)
-	f.fed += len(p)
-	return len(p), nil
-}
-
-// step ingests log's events past those already fed, the header line first,
-// and reports whether it fed anything.
+// step ingests log's events past those already fed and reports whether the
+// ingester took anything: the first log, or new events.
 func (f *liveFeed) step(log *trace.Log) bool {
-	before := f.fed
-	f.cur.WriteNew(f, log)
-	if n := f.li.Events(); n > f.ingested {
-		f.metrics.observeIngest(int64(n - f.ingested))
-		f.ingested = n
+	f.li.FeedLog(log)
+	n := f.li.Events()
+	if n == f.ingested {
+		return false
 	}
-	return f.fed > before
-}
-
-// finish ends the stream. A finished job's stored log, if it has one,
-// holds the rest of the run and the true drop count (live headers carry
-// zero).
-func (f *liveFeed) finish(stored *trace.Log) {
-	if stored != nil {
-		f.step(stored)
-		f.li.SetDropped(stored.Dropped)
-	}
-	f.li.Finalize()
+	f.metrics.observeIngest(int64(n - max(f.ingested, 0)))
+	f.ingested = n
+	return true
 }
 
 // liveJob resolves the {id} run and checks that it publishes a live
@@ -142,10 +122,8 @@ func (s *Server) handleAnalysisLive(w http.ResponseWriter, r *http.Request) {
 		log, closed, wait := j.live.next()
 		if log != nil && feed.step(log) {
 			if now := time.Now(); now.Sub(lastSent) >= liveSendInterval {
-				if rep := li.Report(opt); rep != nil {
-					send("report", rep)
-					lastSent = now
-				}
+				send("report", li.Report(opt))
+				lastSent = now
 			}
 		}
 		if closed {
@@ -159,17 +137,14 @@ func (s *Server) handleAnalysisLive(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Stream over: the stored log holds the rest of the run (all of it for
-	// a cached replay, which never published a prefix) and the true drop
-	// count.
+	// a cached replay, which never published a prefix).
 	snap := j.snapshot()
-	var stored *trace.Log
-	if snap.Result != nil {
-		stored = snap.Result.TraceLog
+	if snap.Result != nil && snap.Result.TraceLog != nil {
+		feed.step(snap.Result.TraceLog)
 	}
-	feed.finish(stored)
 	rep := li.Report(opt)
 	if rep == nil {
-		msg := "no trace header received"
+		msg := "no trace events received"
 		if snap.Err != "" {
 			msg = "run failed: " + snap.Err
 		}
@@ -180,17 +155,17 @@ func (s *Server) handleAnalysisLive(w http.ResponseWriter, r *http.Request) {
 	send("done", map[string]any{"events": li.Events(), "truncated": rep.Truncated})
 }
 
-// liveWaitingPage renders while the run has not yet produced its header line.
+// liveWaitingPage renders while the run has not yet published a prefix.
 const liveWaitingPage = `<!DOCTYPE html>
 <html lang="en"><head><meta charset="utf-8"><meta http-equiv="refresh" content="2">
 <title>live analysis %s</title></head>
 <body style="font: 14px system-ui, sans-serif; margin: 2rem">
-<h1>Live analysis %s</h1><p>Waiting for the first trace chunk&hellip;</p></body></html>
+<h1>Live analysis %s</h1><p>Waiting for the first trace events&hellip;</p></body></html>
 `
 
 // handleAnalysisLiveDashboard serves the SVG dashboard of the run's current
 // trace prefix, auto-refreshing while the run is still producing events.
-// Stateless: each request re-ingests the prefix published so far.
+// Stateless: each request analyzes the prefix published so far.
 func (s *Server) handleAnalysisLiveDashboard(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.liveJob(w, r)
 	if !ok {
@@ -201,23 +176,19 @@ func (s *Server) handleAnalysisLiveDashboard(w http.ResponseWriter, r *http.Requ
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	feed := s.newLiveFeed()
 	log, closed, _ := j.live.next()
-	snap := j.snapshot()
-	if closed && snap.Result != nil && snap.Result.TraceLog != nil {
+	if snap := j.snapshot(); closed && snap.Result != nil && snap.Result.TraceLog != nil {
 		// Completed run: the stored log is authoritative (cached replays
-		// never published a prefix) and carries the true drop count.
-		feed.finish(snap.Result.TraceLog)
-	} else if log != nil {
-		feed.step(log)
+		// never published a prefix).
+		log = snap.Result.TraceLog
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	rep := feed.li.Report(opt)
-	if rep == nil {
+	if log == nil {
 		fmt.Fprintf(w, liveWaitingPage, j.ID, j.ID)
 		return
 	}
-	v := buildDashView(j.ID, rep)
+	s.metrics.observeIngest(int64(len(log.Events)))
+	v := buildDashView(j.ID, analysis.FromLog(log).Analyze(opt))
 	v.Live = true
 	if !closed {
 		v.RefreshSeconds = 2

@@ -20,8 +20,8 @@ type Sink struct {
 	// heartbeat once the traced run has started. Each log extends the one
 	// before, and shares its storage with the running tracer, which only
 	// appends: it stays unchanged, may be read from any goroutine, and must
-	// not be modified. The live-analysis endpoints render their JSONL from
-	// it. A sharded run's events appear only once it ends.
+	// not be modified. The live-analysis endpoints feed it to their
+	// ingesters as it is. A sharded run's events appear only once it ends.
 	TraceLog func(*trace.Log)
 }
 

@@ -474,9 +474,10 @@ func (st *Store) Jobs() int {
 
 // liveTrace publishes a running job's event-log prefix to its /live
 // followers. Unlike the progress broadcaster it loses nothing: each
-// heartbeat's prefix extends the last, and every follower renders its own
-// JSONL from whatever prefix it reads. The prefix shares its storage with
-// the running tracer, so publishing costs no copy.
+// heartbeat's prefix extends the last, and every follower ingests the
+// events of whatever prefix it reads past those it already holds. The
+// prefix shares its storage with the running tracer, so publishing costs
+// no copy.
 //
 // Once the job has finished with a stored log the prefix is dropped:
 // followers continue from the stored log, which the retention budget

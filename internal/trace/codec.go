@@ -12,9 +12,9 @@ import (
 
 // Hand-written codec for parbs.trace/v1 event lines. The header line stays
 // on encoding/json (it is written and read once per log); the per-event
-// paths — WriteJSONL, Cursor.WriteNew, Scanner.Next and ParseEventLine —
-// use the appenders and the single-pass decoder below, which do
-// no reflection and, outside batch shapes, no allocation.
+// paths — WriteJSONL, Scanner.Next and ParseEventLine — use the appenders
+// and the single-pass decoder below, which do no reflection and, outside
+// batch shapes, no allocation.
 //
 // Contract: the encoder writes exactly the bytes encoding/json wrote for
 // the former per-kind wire structs, and the decoder agrees with

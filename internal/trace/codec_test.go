@@ -399,39 +399,6 @@ func TestParseEventLineAllocs(t *testing.T) {
 	}
 }
 
-// TestCursorWriteNewAllocs guards the live encoder: once its buffers have
-// grown, rendering events allocates nothing per event.
-func TestCursorWriteNewAllocs(t *testing.T) {
-	tr := NewTracer(Config{})
-	tr.Bind(Meta{Policy: "PAR-BS", Cores: 4, Banks: 8})
-	for i := int64(0); i < 250; i++ {
-		tr.RequestArrived(i, int(i%4), int(i%8), i, i%5 == 0, i)
-		tr.RequestMarked(i, int(i%4), i/16, i+1)
-		tr.CommandIssued(i, int(i%4), dram.CmdRead, int(i%8), i, 2, i+2)
-		tr.RequestCompleted(i, int(i%4), i+40, 40)
-		if i%16 == 15 {
-			tr.BatchFormedDetail(i/16, i, 16, []int{4, 4, 4, 4}, 0)
-			tr.BatchDrained(i/16, i+50, 50)
-		}
-	}
-	var cur Cursor
-	log := tr.Log()
-	var out bytes.Buffer
-	if err := cur.WriteNew(&out, log); err != nil { // header and first growth
-		t.Fatal(err)
-	}
-	n := testing.AllocsPerRun(20, func() {
-		cur.next, cur.batches = 0, 0
-		out.Reset()
-		if err := cur.WriteNew(&out, log); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if n != 0 {
-		t.Errorf("Cursor.WriteNew: %v allocs per %d-event call, want 0", n, tr.Events())
-	}
-}
-
 // BenchmarkParseEventLine times the decoder over a mix of real lines; the
 // Oracle variant is the reflective decoder it replaced.
 func BenchmarkParseEventLine(b *testing.B) {

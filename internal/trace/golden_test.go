@@ -39,17 +39,6 @@ func renderings(t *testing.T, log *trace.Log) (jsonl, chrome []byte) {
 	return j.Bytes(), c.Bytes()
 }
 
-// cursorStream renders a finished tracer through a fresh Cursor (the live
-// path): the header with zero counts, then every event line.
-func cursorStream(t *testing.T, tr *trace.Tracer) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := new(trace.Cursor).WriteNew(&buf, tr.Log()); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 func checkDigest(t *testing.T, name string, b []byte, want string) {
 	t.Helper()
 	if got := digest(b); got != want {
@@ -80,8 +69,6 @@ func TestGoldenWireMemoryAttack(t *testing.T) {
 		"5d10aa7ff9c164bf64a7ec5f595e1c6677dbd9ed47697dce96a455324b6b033d")
 	checkDigest(t, "attack Chrome", chrome,
 		"4269893e77ca750e794d25bc6ae246e674f977d7c6f89ad008f292f12490d8a1")
-	checkDigest(t, "attack cursor", cursorStream(t, cfg.Tracer),
-		"5efe4d9ae73757d8de5fc43308f573fba3097a937fdb96fadfa415800f3ed5ac")
 }
 
 // TestGoldenWireIndependentChannels pins a 4-channel Independent run, whose
@@ -111,8 +98,6 @@ func TestGoldenWireIndependentChannels(t *testing.T) {
 		"f1978769ce0b522ea44f906478dbb9c8f0344309e14a43f7e4b3eb567cba5bc4")
 	checkDigest(t, "independent Chrome", chrome,
 		"32c73825240b25a04b8ebbe55692a109f6a2e994653a830b90b97c7a8289a5e8")
-	checkDigest(t, "independent cursor", cursorStream(t, cfg.Tracer),
-		"ec7c1dd5c6e248df02045dc297d7c223c464b8b30b0af611eb727107f91691b2")
 }
 
 // TestGoldenWireHandBuilt pins a hand-built log that real runs never

@@ -19,7 +19,7 @@ import (
 // overlong line ending the stream as an ingest tear.
 func oracleIngest(raw []byte) (log *trace.Log, ingestTruncated bool, err error) {
 	sc := bufio.NewScanner(bytes.NewReader(raw))
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), trace.MaxLineBytes)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
 			return nil, false, err

@@ -30,8 +30,7 @@ type runLine struct {
 }
 
 // headerLine builds the run header line with explicit event/drop counts
-// (a completed log writes the real counts; a live stream writes zeros —
-// readers treat them as hints, never hard limits).
+// (readers treat them as hints, never hard limits).
 func headerLine(meta Meta, events int, dropped int64) runLine {
 	return runLine{
 		Schema:     Schema,
@@ -91,71 +90,6 @@ func WriteJSONL(w io.Writer, log *Log) error {
 	}
 	_, err = w.Write(buf)
 	return err
-}
-
-// Cursor incrementally renders a growing event log as parbs.trace/v1
-// JSONL: each WriteNew call emits the events of the given log past the
-// ones already rendered, opening the stream with a header line on the
-// first. The header's events and dropped counts are written as zero — they
-// are unknowable while the run is still recording — so live consumers must
-// treat them as hints and reconcile the real drop count after the run (the
-// completed log's header, written by WriteJSONL, carries the truth).
-//
-// Successive logs must extend one another: each a prefix of the next, as
-// the Logs a recording Tracer returns are (it only appends). The zero
-// Cursor is positioned at the start of a stream.
-type Cursor struct {
-	next       int // first event not yet rendered
-	batches    int // KindBatch events rendered so far (BatchPerThread index)
-	headerDone bool
-	buf        []byte // rendering scratch, reused across calls
-}
-
-// Bound reports whether the tracer has been bound to a run (run metadata
-// is only trustworthy afterwards).
-func (t *Tracer) Bound() bool { return t.bound }
-
-// WriteNew renders every event of log past the cursor (plus the header
-// line on the first call) and advances the cursor. The chunk goes to w in
-// one Write; on an event it cannot encode, the lines before it are still
-// written.
-func (c *Cursor) WriteNew(w io.Writer, log *Log) error {
-	buf, err := c.render(c.buf[:0], log)
-	c.buf = buf
-	if len(buf) > 0 {
-		if _, werr := w.Write(buf); werr != nil {
-			return werr
-		}
-	}
-	return err
-}
-
-// render appends the header (first call only) and the new event lines to
-// buf, stopping at the first event it cannot encode.
-func (c *Cursor) render(buf []byte, log *Log) ([]byte, error) {
-	if !c.headerDone {
-		var err error
-		if buf, err = appendHeaderLine(buf, log.Meta, 0, 0); err != nil {
-			return buf, err
-		}
-		c.headerDone = true
-	}
-	for ; c.next < len(log.Events); c.next++ {
-		ev := log.Events[c.next]
-		var pt []int32
-		if ev.Kind == KindBatch {
-			if c.batches < len(log.BatchPerThread) {
-				pt = log.BatchPerThread[c.batches]
-			}
-			c.batches++
-		}
-		line, err := appendEventLine(buf, ev, pt)
-		if err != nil {
-			return buf, err
-		}
-		buf = line
-	}
-	return buf, nil
 }
 
 // WriteJSONL renders the tracer's recorded run as schema-versioned JSONL.

@@ -23,6 +23,13 @@ import (
 // delivered; the consumer should flag the analysis as partial.
 var ErrTruncated = errors.New("trace: event stream truncated mid-line")
 
+// MaxLineBytes bounds one line of the wire format. Both JSONL readers, the
+// Scanner and the analysis layer's live ingester, treat a line of
+// MaxLineBytes bytes or more, its newline not counted, as damage: no line
+// the writers emit comes near it, and a reader must not buffer without
+// bound while waiting for a newline.
+const MaxLineBytes = 16 << 20
+
 // Scanner reads a parbs.trace/v1 event log one event at a time.
 // Construct with NewScanner (which consumes and validates the header),
 // then call Next until it returns io.EOF or ErrTruncated.
@@ -43,7 +50,7 @@ type Scanner struct {
 func NewScanner(r io.Reader) (*Scanner, error) {
 	avail := inputLen(r)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), MaxLineBytes)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
 			return nil, err
@@ -150,7 +157,7 @@ func (s *Scanner) Line() int { return s.lineNo }
 func (s *Scanner) Next() (ev Event, perThread []int32, err error) {
 	if !s.sc.Scan() {
 		if err := s.sc.Err(); err != nil {
-			// A line longer than the scanner's 16 MB cap is damage, not a
+			// A line of MaxLineBytes or more is damage, not a
 			// well-formed log; report it as truncation like any other
 			// unreadable tail.
 			if errors.Is(err, bufio.ErrTooLong) {

@@ -166,6 +166,10 @@ func (t *Tracer) Bind(meta Meta) {
 	t.dropped = 0
 }
 
+// Bound reports whether the tracer has been bound to a run (run metadata
+// is only trustworthy afterwards).
+func (t *Tracer) Bound() bool { return t.bound }
+
 // Meta returns the bound run metadata.
 func (t *Tracer) Meta() Meta { return t.meta }
 
