@@ -161,7 +161,7 @@ func (s *Server) runLog(ref string, noTrace int) (*trace.Log, int, error) {
 	if snap.Evicted {
 		return nil, http.StatusGone, errEvicted(ref)
 	}
-	if snap.Result == nil || snap.Result.TraceLog == nil {
+	if j.Spec.Trace == nil || !j.Spec.Trace.Events || snap.Result == nil || snap.Result.TraceLog == nil {
 		return nil, noTrace, fmt.Errorf("run %s has no event trace; submit it with trace.events=true", ref)
 	}
 	return snap.Result.TraceLog, 0, nil

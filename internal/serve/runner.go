@@ -29,10 +29,10 @@ type Sink struct {
 // tests substitute stubs to make scheduling behavior observable without
 // paying for real simulations.
 //
-// The artifacts of a returned Result may be any valid JSON, indented or
-// not; the server canonicalizes them (see Result) and fails the job with
-// an "invalid <name> artifact" error if one is not valid JSON. The server
-// does not modify the returned Result.
+// The Report and Telemetry of a returned Result may be any valid JSON,
+// indented or not; the server canonicalizes them (see Result) and fails the
+// job with an "invalid <name> artifact" error if one is not valid JSON. The
+// server does not modify the returned Result.
 type Runner func(ctx context.Context, spec Spec, sink Sink) (*Result, error)
 
 // reportJSON is the wire form of a parbs.Report, embedded in run results.
@@ -142,12 +142,7 @@ func SimulationRunner(cache *parbs.AloneCache) Runner {
 			}
 		}
 		if tracer != nil {
-			if res.Trace, err = tracer.ChromeTrace(); err != nil {
-				return nil, fmt.Errorf("render trace: %w", err)
-			}
-			if spec.Trace.Events {
-				res.TraceLog = tracer.Log().Clone()
-			}
+			res.TraceLog = tracer.Log().Clone()
 		}
 		return res, nil
 	}

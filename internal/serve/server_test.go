@@ -325,14 +325,14 @@ func TestEndToEndBatchAdmissionVsFIFO(t *testing.T) {
 	}
 }
 
-// TestTraceArtifactFlowsThrough: a spec requesting a trace gets the
-// runner's Chrome trace artifact embedded in the terminal job view, a spec
-// without one does not, and the two hash to different cache keys.
+// TestTraceArtifactFlowsThrough: a spec requesting a trace gets the Chrome
+// trace of the runner's event log embedded in the terminal job view, a
+// spec without one does not, and the two hash to different cache keys.
 func TestTraceArtifactFlowsThrough(t *testing.T) {
 	runner := func(ctx context.Context, spec Spec, sink Sink) (*Result, error) {
 		res := &Result{Report: json.RawMessage(`{"scheduler":"stub"}`)}
 		if spec.Trace != nil {
-			res.Trace = json.RawMessage(`{"traceEvents":[]}`)
+			res.TraceLog = testTraceLog()
 		}
 		return res, nil
 	}
@@ -355,7 +355,7 @@ func TestTraceArtifactFlowsThrough(t *testing.T) {
 	if done.Status != StatusDone {
 		t.Fatalf("traced job: %s (%s)", done.Status, done.Error)
 	}
-	if len(done.Trace) == 0 || !json.Valid(done.Trace) {
+	if !json.Valid(done.Trace) || !bytes.Contains(done.Trace, []byte(`"traceEvents"`)) {
 		t.Errorf("traced job view carries no valid trace artifact: %q", done.Trace)
 	}
 

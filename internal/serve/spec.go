@@ -36,8 +36,9 @@ type Spec struct {
 	// Telemetry, when present, attaches a collector; the run result then
 	// embeds a parbs.telemetry/v1 report.
 	Telemetry *TelemetrySpec `json:"telemetry,omitempty"`
-	// Trace, when present, attaches a lifecycle tracer; the run result then
-	// embeds a Chrome trace-event JSON artifact (Perfetto-loadable).
+	// Trace, when present, attaches a lifecycle tracer; the result keeps
+	// the run's event log, and the job view embeds the Chrome trace-event
+	// JSON (Perfetto-loadable) rendered from it for each response.
 	Trace *TraceSpec `json:"trace,omitempty"`
 	// TimeoutMS caps the job's wall-clock execution; 0 means no deadline
 	// of its own. It can only shorten the server's default deadline.
@@ -82,10 +83,10 @@ type TelemetrySpec struct {
 	MaxEpochs   int   `json:"max_epochs,omitempty"`
 }
 
-// TraceSpec mirrors parbs.TracerConfig. Events additionally keeps the
-// run's event log in the result, served as parbs.trace/v1 JSONL at GET
-// /v1/runs/{id}/trace and analyzable in place via POST /v1/analysis
-// {"run": id}.
+// TraceSpec mirrors parbs.TracerConfig. Events additionally serves the
+// run's event log as parbs.trace/v1 JSONL at GET /v1/runs/{id}/trace,
+// makes it analyzable in place via POST /v1/analysis {"run": id} and diffs
+// by run, and follows it live at /v1/analysis/{id}/live.
 type TraceSpec struct {
 	MaxEvents int  `json:"max_events,omitempty"`
 	Events    bool `json:"events,omitempty"`

@@ -25,30 +25,31 @@ const (
 )
 
 // Result is a completed job's payload: the run report and, when requested,
-// the embedded parbs.telemetry/v1 report, the Chrome trace-event artifact
-// and the typed event log. Results are immutable once published and shared
-// between a job and the content-hash cache.
+// the embedded parbs.telemetry/v1 report and the typed event log. Results
+// are immutable once published and shared between a job and the
+// content-hash cache.
 //
-// A published Result's Report, Telemetry and Trace are canonical: each is
-// empty or one valid JSON value in the exact form encoding/json embeds a
+// A published Result's Report and Telemetry are canonical: each is empty
+// or one valid JSON value in the exact form encoding/json embeds a
 // json.RawMessage (compact, HTML-escaped, no surrounding whitespace). The
 // server establishes this once, when the job finishes, and the job view
 // splices the bytes in without scanning them again.
 type Result struct {
 	Report    json.RawMessage
 	Telemetry json.RawMessage
-	Trace     json.RawMessage
-	// TraceLog is the run's event log, kept when the spec set trace.events.
-	// POST /v1/analysis {"run": id} and diffs by run analyze it directly;
-	// GET /v1/runs/{id}/trace renders it as parbs.trace/v1 JSONL. It is
-	// not embedded in the job view (it can be megabytes).
+	// TraceLog is the run's event log, kept when the spec set a trace. The
+	// job view embeds the Chrome trace rendered from it (trace.WriteChrome)
+	// for each response; no rendering is kept. When the spec also set
+	// trace.events, POST /v1/analysis {"run": id} and diffs by run analyze
+	// it directly, and GET /v1/runs/{id}/trace renders it as
+	// parbs.trace/v1 JSONL.
 	TraceLog *trace.Log
 }
 
 // size is the payload's charge against the retention budget: the
 // artifacts' bytes and the memory the event log holds.
 func (r *Result) size() int64 {
-	return int64(len(r.Report)+len(r.Telemetry)+len(r.Trace)) + r.TraceLog.Bytes()
+	return int64(len(r.Report)+len(r.Telemetry)) + r.TraceLog.Bytes()
 }
 
 // Job is one accepted simulation run.

@@ -8,18 +8,23 @@ import (
 	"io"
 	"net/http"
 	"time"
+
+	"repro/internal/trace"
 )
 
-// Job views embed result artifacts of megabytes (the Chrome trace). The
-// server checks each artifact once, when the result is published, and
-// stores it in the exact form encoding/json embeds a json.RawMessage. Each
-// response then encodes only the small envelope and splices the stored
-// artifacts in unscanned, and the bytes stay those that encoding/json would
-// produce for the whole jobView (DESIGN.md §11, "Response encoding").
+// Job views embed result artifacts, one of them megabytes (the Chrome
+// trace). The server checks the stored artifacts once, when the result is
+// published, and stores them in the exact form encoding/json embeds a
+// json.RawMessage. The Chrome trace is not stored: each response renders
+// it from the result's event log, and trace.WriteChrome writes that form
+// too. Each response then encodes only the small envelope, splices the
+// stored artifacts in unscanned and streams the trace, and the bytes stay
+// those that encoding/json would produce for the whole jobView (DESIGN.md
+// §11, "Response encoding").
 
 // jobView is the wire form of a job's status (GET /v1/runs/{id}, the
 // submission response and the SSE done event). The server encodes only its
-// envelope; compactView splices in the artifacts and the error.
+// envelope; compactView adds the artifacts and the error.
 type jobView struct {
 	Schema      string          `json:"schema"`
 	ID          string          `json:"id"`
@@ -50,7 +55,7 @@ func publish(res *Result) (*Result, error) {
 	for _, a := range [...]struct {
 		name string
 		raw  *json.RawMessage
-	}{{"report", &pub.Report}, {"telemetry", &pub.Telemetry}, {"trace", &pub.Trace}} {
+	}{{"report", &pub.Report}, {"telemetry", &pub.Telemetry}} {
 		c, err := canonicalArtifact(*a.raw)
 		if err != nil {
 			return nil, fmt.Errorf("invalid %s artifact: %w", a.name, err)
@@ -305,11 +310,19 @@ func skipDigits(src []byte, i int) int {
 
 const hexDigits = "0123456789abcdef"
 
-// compactView returns the view of j at snap as pieces whose concatenation
-// is json.Marshal of the whole jobView: the encoded envelope without its
-// closing brace, then each present artifact and the error, then the brace.
-// The artifacts are the published (canonical) bytes themselves.
-func compactView(j *Job, snap Snapshot) ([][]byte, error) {
+// viewBody is a job view in pieces whose concatenation is json.Marshal of
+// the whole jobView: the encoded envelope without its closing brace and the
+// stored artifacts, then the Chrome trace rendered from log, then the error
+// and the brace.
+type viewBody struct {
+	head [][]byte
+	log  *trace.Log // nil: no "trace" field
+	tail [][]byte
+}
+
+// compactView returns the view of j at snap. The stored artifacts are the
+// published (canonical) bytes themselves.
+func compactView(j *Job, snap Snapshot) (viewBody, error) {
 	v := jobView{
 		Schema:      Schema,
 		ID:          j.ID,
@@ -328,61 +341,100 @@ func compactView(j *Job, snap Snapshot) ([][]byte, error) {
 	if !snap.FinishedAt.IsZero() {
 		v.FinishedAt = &snap.FinishedAt
 	}
-	head, err := json.Marshal(v)
+	env, err := json.Marshal(v)
 	if err != nil {
-		return nil, fmt.Errorf("encode job view: %w", err)
+		return viewBody{}, fmt.Errorf("encode job view: %w", err)
 	}
-	parts := [][]byte{head[:len(head)-1]}
-	field := func(key string, raw []byte) {
+	body := viewBody{head: [][]byte{env[:len(env)-1]}}
+	field := func(parts [][]byte, key string, raw []byte) [][]byte {
 		if len(raw) > 0 {
 			parts = append(parts, []byte(`,"`+key+`":`), raw)
 		}
+		return parts
 	}
 	if r := snap.Result; r != nil {
-		field("report", r.Report)
-		field("telemetry", r.Telemetry)
-		field("trace", r.Trace)
+		body.head = field(body.head, "report", r.Report)
+		body.head = field(body.head, "telemetry", r.Telemetry)
+		body.log = r.TraceLog
 	}
 	if snap.Err != "" {
 		msg, err := json.Marshal(snap.Err)
 		if err != nil {
-			return nil, fmt.Errorf("encode job view: %w", err)
+			return viewBody{}, fmt.Errorf("encode job view: %w", err)
 		}
-		field("error", msg)
+		body.tail = field(body.tail, "error", msg)
 	}
-	return append(parts, []byte("}")), nil
+	body.tail = append(body.tail, []byte("}"))
+	return body, nil
+}
+
+// writeTo writes the compact view to w, rendering the trace as it goes,
+// and stops at the first write error.
+func (b viewBody) writeTo(w io.Writer) error {
+	if err := writeParts(w, b.head); err != nil {
+		return err
+	}
+	if b.log != nil {
+		if _, err := io.WriteString(w, `,"trace":`); err != nil {
+			return err
+		}
+		if err := trace.WriteChrome(valueWriter{w}, b.log); err != nil {
+			return err
+		}
+	}
+	return writeParts(w, b.tail)
+}
+
+// writeParts writes each part in order, stopping at the first error.
+func writeParts(w io.Writer, parts [][]byte) error {
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// valueWriter drops the newline trace.WriteChrome ends its document with,
+// leaving the one JSON value. In compact JSON a raw newline can only be
+// that terminator.
+type valueWriter struct{ w io.Writer }
+
+func (v valueWriter) Write(p []byte) (int, error) {
+	if _, err := v.w.Write(bytes.TrimSuffix(p, []byte("\n"))); err != nil {
+		return 0, err
+	}
+	return len(p), nil
 }
 
 // writeView serves j's view at snap with the bytes writeJSON would give it
 // (indent "  ", trailing newline), streamed through a bounded buffer.
 func writeView(w http.ResponseWriter, code int, j *Job, snap Snapshot) {
-	parts, err := compactView(j, snap)
+	body, err := compactView(j, snap)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	ind := indenter{w: w, buf: make([]byte, 0, indentFlushAt+256)}
-	for _, p := range parts {
-		ind.write(p)
+	ind := &indenter{w: w, buf: make([]byte, 0, indentFlushAt+256)}
+	if body.writeTo(ind) == nil {
+		ind.buf = append(ind.buf, '\n')
+		ind.flush()
 	}
-	ind.buf = append(ind.buf, '\n')
-	ind.flush()
 }
 
 // writeDoneEvent writes the SSE done event carrying j's compact view at
 // snap. A view that cannot be encoded ends the stream without one.
 func writeDoneEvent(w io.Writer, j *Job, snap Snapshot) {
-	parts, err := compactView(j, snap)
+	body, err := compactView(j, snap)
 	if err != nil {
 		return
 	}
 	io.WriteString(w, "event: done\ndata: ")
-	for _, p := range parts {
-		w.Write(p)
+	if body.writeTo(w) == nil {
+		io.WriteString(w, "\n\n")
 	}
-	io.WriteString(w, "\n\n")
 }
 
 // indentFlushAt is the buffered size at which an indenter writes out.
@@ -393,7 +445,7 @@ const indentFlushAt = 32 << 10
 // ',', before '}' and ']', and a space after ':', with empty objects and
 // arrays kept as {} and []. Valid compact input needs only string tracking.
 // It buffers up to about indentFlushAt bytes; after a write error it drops
-// the rest.
+// the rest and returns the error.
 type indenter struct {
 	w     io.Writer
 	buf   []byte
@@ -404,14 +456,17 @@ type indenter struct {
 	esc   bool // the previous string byte was an unescaped backslash
 }
 
-func (d *indenter) write(p []byte) {
+func (d *indenter) Write(p []byte) (int, error) {
+	if d.err != nil {
+		return 0, d.err
+	}
 	// The state lives in locals so the loop keeps it in registers.
 	buf, depth, open, inStr, esc := d.buf, d.depth, d.open, d.inStr, d.esc
 	for i := 0; i < len(p); i++ {
 		if len(buf) >= indentFlushAt {
 			d.buf = buf
 			if d.flush(); d.err != nil {
-				return
+				return i, d.err
 			}
 			buf = d.buf
 		}
@@ -455,6 +510,7 @@ func (d *indenter) write(p []byte) {
 		buf = append(buf, c)
 	}
 	d.buf, d.depth, d.open, d.inStr, d.esc = buf, depth, open, inStr, esc
+	return len(p), nil
 }
 
 // appendNewline starts a line indented to depth.

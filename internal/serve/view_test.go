@@ -16,6 +16,7 @@ import (
 	"time"
 
 	parbs "repro"
+	"repro/internal/trace"
 )
 
 // Golden job-view digests: the sha256 of the GET /v1/runs/{id} body and of
@@ -47,7 +48,8 @@ var goldenJobViewLoop = map[string]string{
 var goldenEpoch = time.Date(2008, 6, 21, 9, 0, 0, 0, time.UTC)
 
 // tracedCSISpec is a Case Study I job under PAR-BS with telemetry and the
-// Chrome trace artifact on, short enough for -race.
+// Chrome trace artifact on (a trace without events), short enough for
+// -race.
 func tracedCSISpec() Spec {
 	return Spec{
 		Client:    "golden",
@@ -116,8 +118,8 @@ func TestGoldenJobView(t *testing.T) {
 	h := s.Handler()
 
 	j, _ := submitRecorded(t, s, tracedCSISpec(), http.StatusAccepted)
-	if snap := j.snapshot(); snap.Status != StatusDone || snap.Result == nil || len(snap.Result.Trace) == 0 {
-		t.Fatalf("golden job ended %s (%s) without a trace artifact", snap.Status, snap.Err)
+	if snap := j.snapshot(); snap.Status != StatusDone || snap.Result == nil || snap.Result.TraceLog == nil {
+		t.Fatalf("golden job ended %s (%s) without an event log", snap.Status, snap.Err)
 	}
 	pinJobTimes(j)
 	cached, _ := submitRecorded(t, s, tracedCSISpec(), http.StatusOK)
@@ -218,10 +220,10 @@ func BenchmarkJobViewGET(b *testing.B) { benchJobView(b, "") }
 func BenchmarkJobViewSSE(b *testing.B) { benchJobView(b, "/events") }
 
 // BenchmarkJobViewPublish measures the one-time check and canonicalization
-// of the traced result's artifacts when its job finishes.
+// of the traced result's stored artifacts when its job finishes.
 func BenchmarkJobViewPublish(b *testing.B) {
 	res := tracedCSIResult(b)
-	b.SetBytes(int64(len(res.Report) + len(res.Telemetry) + len(res.Trace)))
+	b.SetBytes(int64(len(res.Report) + len(res.Telemetry)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -235,7 +237,21 @@ func BenchmarkJobViewPublish(b *testing.B) {
 // spliced stored artifacts: viewOf builds the whole view, GET encodes it
 // with an indenting json.Encoder and the SSE done event with json.Marshal.
 
-func viewOf(j *Job) jobView {
+// chromeOf renders log's Chrome trace as a view embeds it: the document
+// without its closing newline. A nil log has none.
+func chromeOf(t testing.TB, log *trace.Log) json.RawMessage {
+	t.Helper()
+	if log == nil {
+		return nil
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteChrome(&buf, log); err != nil {
+		t.Fatalf("render Chrome trace: %v", err)
+	}
+	return bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+}
+
+func viewOf(t testing.TB, j *Job) jobView {
 	snap := j.snapshot()
 	v := jobView{
 		Schema:      Schema,
@@ -260,7 +276,7 @@ func viewOf(j *Job) jobView {
 	if snap.Result != nil {
 		v.Report = snap.Result.Report
 		v.Telemetry = snap.Result.Telemetry
-		v.Trace = snap.Result.Trace
+		v.Trace = chromeOf(t, snap.Result.TraceLog)
 	}
 	return v
 }
@@ -287,10 +303,10 @@ func oracleSSE(t testing.TB, v jobView) []byte {
 
 // rawView is the oracle view of a finished job with the artifacts as the
 // Runner returned them, before the server canonicalized them.
-func rawView(j *Job, res *Result) jobView {
-	v := viewOf(j)
+func rawView(t testing.TB, j *Job, res *Result) jobView {
+	v := viewOf(t, j)
 	if v.Status == StatusDone {
-		v.Report, v.Telemetry, v.Trace = res.Report, res.Telemetry, res.Trace
+		v.Report, v.Telemetry = res.Report, res.Telemetry
 	}
 	return v
 }
@@ -382,6 +398,32 @@ func (g *jsonGen) artifact() json.RawMessage {
 	return g.out
 }
 
+// metaPieces are what a Chrome trace's strings must escape or replace:
+// HTML characters, line separators, quotes, backslashes, control bytes
+// and invalid UTF-8.
+var metaPieces = []string{"a", "<", ">", "&", "\u2028", "\u2029", `"`, `\`, "\x00", "\x1f", "\x7f",
+	"\n", "\xff", "\xe2\x80", "\xe2\x80\xa8", "\u00e9", "\u20ac", "</script>"}
+
+func (g *jsonGen) text() string {
+	var b []byte
+	for n := g.next() % 6; n > 0; n-- {
+		b = append(b, metaPieces[int(g.next())%len(metaPieces)]...)
+	}
+	return string(b)
+}
+
+// log returns no event log or a small one whose run names come from the
+// fuzz bytes and from raw, which may hold any bytes.
+func (g *jsonGen) log(raw string) *trace.Log {
+	if g.next()%5 == 0 {
+		return nil
+	}
+	log := testTraceLog()
+	log.Meta.Policy = g.text()
+	log.Meta.Workload = raw + g.text()
+	return log
+}
+
 func FuzzJobView(f *testing.F) {
 	f.Add([]byte("\x01\x04\x03\x02\x02\x05\x06\x07\x01\x03\x04\x00\x02"), "client <&>", "boom \u2028\u2029 </b>")
 	f.Add([]byte(" {\"a\": [1, 2, {}], \"b\": \"<\\u2028>\"}\n"), "", "")
@@ -406,16 +448,22 @@ func FuzzJobView(f *testing.F) {
 		}
 
 		g := jsonGen{src: shape}
-		res := &Result{Report: g.artifact(), Telemetry: g.artifact(), Trace: g.artifact()}
-		for _, a := range [][]byte{res.Report, res.Telemetry, res.Trace} {
+		res := &Result{Report: g.artifact(), Telemetry: g.artifact(), TraceLog: g.log(errMsg)}
+		for _, a := range [][]byte{res.Report, res.Telemetry} {
 			if len(a) > 0 && !json.Valid(a) {
 				t.Fatalf("generator built invalid JSON %q", a)
+			}
+		}
+		// The view splices the rendered trace in unscanned: it must already
+		// be in the form encoding/json embeds.
+		if c := chromeOf(t, res.TraceLog); c != nil {
+			if got, err := canonicalArtifact(c); err != nil || !bytes.Equal(got, c) {
+				t.Fatalf("Chrome trace %q is not canonical: %q, %v", c, got, err)
 			}
 		}
 		before := *res
 		before.Report = bytes.Clone(res.Report)
 		before.Telemetry = bytes.Clone(res.Telemetry)
-		before.Trace = bytes.Clone(res.Trace)
 
 		s := New(Options{Workers: 1, Runner: func(_ context.Context, spec Spec, _ Sink) (*Result, error) {
 			if spec.Scheduler.Name == "FCFS" {
@@ -437,7 +485,7 @@ func FuzzJobView(f *testing.F) {
 
 		h := s.Handler()
 		for _, j := range []*Job{done, cached, failed} {
-			v := rawView(j, res)
+			v := rawView(t, j, res)
 			if got, want := serveRecorded(h, "GET", "/v1/runs/"+j.ID, nil).Body.Bytes(), oracleGET(t, v); !bytes.Equal(got, want) {
 				t.Errorf("GET %s (%s):\n got %q\nwant %q", j.ID, v.Status, got, want)
 			}
@@ -445,10 +493,10 @@ func FuzzJobView(f *testing.F) {
 				t.Errorf("SSE %s (%s):\n got %q\nwant %q", j.ID, v.Status, got, want)
 			}
 		}
-		if want := oracleGET(t, rawView(cached, res)); !bytes.Equal(hit, want) {
+		if want := oracleGET(t, rawView(t, cached, res)); !bytes.Equal(hit, want) {
 			t.Errorf("cache-hit submit:\n got %q\nwant %q", hit, want)
 		}
-		if !bytes.Equal(res.Report, before.Report) || !bytes.Equal(res.Telemetry, before.Telemetry) || !bytes.Equal(res.Trace, before.Trace) {
+		if !bytes.Equal(res.Report, before.Report) || !bytes.Equal(res.Telemetry, before.Telemetry) {
 			t.Errorf("publishing modified the Runner's result")
 		}
 	})
@@ -458,7 +506,7 @@ func FuzzJobView(f *testing.F) {
 // fails the job with an error naming the artifact, counted in /metrics,
 // instead of a 200 with an empty body.
 func TestInvalidArtifactFailsJob(t *testing.T) {
-	for _, name := range []string{"report", "telemetry", "trace"} {
+	for _, name := range []string{"report", "telemetry"} {
 		t.Run(name, func(t *testing.T) {
 			res := &Result{Report: json.RawMessage(`{"scheduler":"stub"}`)}
 			bad := json.RawMessage(`{"events":[1,2`)
@@ -467,8 +515,6 @@ func TestInvalidArtifactFailsJob(t *testing.T) {
 				res.Report = bad
 			case "telemetry":
 				res.Telemetry = bad
-			case "trace":
-				res.Trace = bad
 			}
 			s := New(Options{Workers: 1, Runner: func(context.Context, Spec, Sink) (*Result, error) { return res, nil }})
 			defer s.Shutdown(context.Background())
@@ -533,6 +579,124 @@ func TestCanonicalArtifactDepth(t *testing.T) {
 			_, err := canonicalArtifact(raw)
 			if want := json.Valid(raw); (err == nil) != want {
 				t.Errorf("depth %d of %q: error %v, encoding/json valid %v", n, open, err, want)
+			}
+		}
+	}
+}
+
+// TestChromeTraceIsCanonical: the job view splices trace.WriteChrome's
+// output in unscanned, so it must already be one JSON value in the form
+// encoding/json embeds, whatever the run's names hold.
+func TestChromeTraceIsCanonical(t *testing.T) {
+	names := []string{"PAR-BS", "<script>&amp;</script>", "line \u2028 para \u2029", `quote " backslash \`,
+		"ctl \x00\x01\x1f\x7f\t\n\r", "bad \xff\xfe utf-8", "cut \xe2\x80", "raw \xe2\x80\xa8 sep", ""}
+	for _, policy := range names {
+		for _, workload := range names {
+			log := testTraceLog()
+			log.Meta.Policy, log.Meta.Workload = policy, workload
+			c := chromeOf(t, log)
+			if got, err := canonicalArtifact(c); err != nil || !bytes.Equal(got, c) {
+				t.Errorf("policy %q, workload %q: trace %q is not canonical: %q, %v", policy, workload, c, got, err)
+			}
+		}
+	}
+}
+
+// compactTrace returns the trace embedded in a GET view body, compacted.
+func compactTrace(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var v jobView
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatalf("view %.200q: %v", body, err)
+	}
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, v.Trace); err != nil {
+		t.Fatalf("view trace: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestTraceWithoutEvents: a real job sent with a trace but without events
+// embeds the Chrome trace of its event log in its view, and its cache-hit
+// replay carries the same trace bytes. Its log is served and analyzed no
+// more than before: 404 from /trace, 409 from analysis and diff by run and
+// from /live.
+func TestTraceWithoutEvents(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Shutdown(context.Background())
+	h := s.Handler()
+	spec := testSpec("noevents", 1)
+	spec.Trace = &TraceSpec{}
+	j, _ := submitRecorded(t, s, spec, http.StatusAccepted)
+	log := j.snapshot().Result.TraceLog
+	if log == nil || len(log.Events) == 0 {
+		t.Fatalf("traced job kept no event log")
+	}
+	want := chromeOf(t, log)
+	cached, hit := submitRecorded(t, s, spec, http.StatusOK)
+	for name, body := range map[string][]byte{
+		"get":        serveRecorded(h, "GET", "/v1/runs/"+j.ID, nil).Body.Bytes(),
+		"cached_get": serveRecorded(h, "GET", "/v1/runs/"+cached.ID, nil).Body.Bytes(),
+		"cache_hit":  hit,
+	} {
+		if got := compactTrace(t, body); !bytes.Equal(got, want) {
+			t.Errorf("%s: trace of %d bytes, want the %d-byte render of the log", name, len(got), len(want))
+		}
+	}
+	for _, id := range []string{j.ID, cached.ID} {
+		sse := serveRecorded(h, "GET", "/v1/runs/"+id+"/events", nil).Body.Bytes()
+		if !bytes.Contains(sse, append([]byte(`,"trace":`), want...)) {
+			t.Errorf("SSE done event of %s lacks the trace", id)
+		}
+	}
+
+	for _, c := range []struct {
+		method, path, body string
+		want               int
+	}{
+		{"GET", "/v1/runs/" + j.ID + "/trace", "", http.StatusNotFound},
+		{"POST", "/v1/analysis", `{"run":"` + j.ID + `"}`, http.StatusConflict},
+		{"POST", "/v1/analysis/diff", `{"a":"` + j.ID + `","b":"` + cached.ID + `"}`, http.StatusConflict},
+		{"GET", "/v1/analysis/" + j.ID + "/live", "", http.StatusConflict},
+	} {
+		req := httptest.NewRequest(c.method, c.path, strings.NewReader(c.body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != c.want {
+			t.Errorf("%s %s: status %d, want %d: %s", c.method, c.path, rec.Code, c.want, rec.Body.Bytes())
+		}
+	}
+}
+
+// TestConcurrentViewsShareTrace: concurrent GETs and SSE followers of one
+// finished traced job render its shared event log at once, and all get the
+// same bytes (under -race, this checks that rendering only reads the log).
+func TestConcurrentViewsShareTrace(t *testing.T) {
+	res := tracedCSIResult(t)
+	s := New(Options{Workers: 1, Runner: func(context.Context, Spec, Sink) (*Result, error) { return res, nil }})
+	defer s.Shutdown(context.Background())
+	j, _ := submitRecorded(t, s, tracedCSISpec(), http.StatusAccepted)
+	h := s.Handler()
+
+	const readers = 4
+	var wg sync.WaitGroup
+	bodies := make([][2][]byte, readers)
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bodies[i][0] = serveRecorded(h, "GET", "/v1/runs/"+j.ID, nil).Body.Bytes()
+			bodies[i][1] = serveRecorded(h, "GET", "/v1/runs/"+j.ID+"/events", nil).Body.Bytes()
+		}()
+	}
+	wg.Wait()
+	v := viewOf(t, j)
+	want := [2][]byte{oracleGET(t, v), oracleSSE(t, v)}
+	for i, b := range bodies {
+		for k, name := range []string{"GET", "SSE"} {
+			if !bytes.Equal(b[k], want[k]) {
+				t.Errorf("reader %d: %s body of %d bytes differs from the oracle's %d", i, name, len(b[k]), len(want[k]))
 			}
 		}
 	}

@@ -72,18 +72,25 @@ func (c *chromeWriter) beginNumbered(prefix string, n int64, ph string, pid int,
 	c.head(ph, pid, tid, ts)
 }
 
-// end closes the event and hands full buffers to the writer.
+// end closes the event and hands full buffers to the writer. The render
+// stops at the first write error, so the buffer never holds more than
+// flushAt bytes and one event.
 func (c *chromeWriter) end() {
 	c.buf = append(c.buf, '}')
-	if len(c.buf) >= flushAt && c.err == nil {
+	if len(c.buf) >= flushAt {
 		_, c.err = c.w.Write(c.buf)
 		c.buf = c.buf[:0]
 	}
 }
 
-// WriteChrome renders the log as Chrome trace-event JSON.
+// WriteChrome renders the log as Chrome trace-event JSON: one compact JSON
+// value, then a newline. It stops at the first write error and returns it.
 func WriteChrome(w io.Writer, log *Log) error {
-	c := &chromeWriter{w: w, buf: make([]byte, 0, flushAt+1024)}
+	return (&chromeWriter{w: w, buf: make([]byte, 0, flushAt+1024)}).render(log)
+}
+
+// render writes the whole document for WriteChrome.
+func (c *chromeWriter) render(log *Log) error {
 	c.buf = append(c.buf, `{"traceEvents":[`...)
 
 	c.begin("process_name", "M", 0, 0, 0)
@@ -93,7 +100,7 @@ func WriteChrome(w io.Writer, log *Log) error {
 	c.begin("process_name", "M", 1, 0, 0)
 	c.buf = append(c.buf, `,"args":{"name":"scheduler batches"}`...)
 	c.end()
-	for t := 0; t < log.Meta.Cores; t++ {
+	for t := 0; t < log.Meta.Cores && c.err == nil; t++ {
 		c.begin("thread_name", "M", 0, int32(t), 0)
 		c.buf = append(strconv.AppendInt(append(c.buf, `,"args":{"name":"thread `...), int64(t), 10), `"}`...)
 		c.end()
@@ -101,6 +108,9 @@ func WriteChrome(w io.Writer, log *Log) error {
 
 	live := make(map[int64]reqSpan)
 	for _, ev := range log.Events {
+		if c.err != nil {
+			return c.err
+		}
 		switch ev.Kind {
 		case KindArrive:
 			live[ev.Req] = reqSpan{arrival: ev.Cycle, marked: -1, batch: -1,

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"reflect"
 	"slices"
@@ -182,5 +183,60 @@ func TestChromeOutputIsValidJSON(t *testing.T) {
 	}
 	if doc.OtherData["schema"] != Schema {
 		t.Errorf("otherData.schema = %v, want %s", doc.OtherData["schema"], Schema)
+	}
+}
+
+var errWriteFailed = errors.New("write failed")
+
+// failAfter accepts n bytes, then fails every write and counts the bytes
+// offered to it after the failure.
+type failAfter struct {
+	n      int
+	failed bool
+	late   int
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if f.failed {
+		f.late += len(p)
+		return 0, errWriteFailed
+	}
+	if len(p) > f.n {
+		f.failed = true
+		return f.n, errWriteFailed
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestWriteChromeStopsAtWriteError: a Chrome render into a writer that
+// fails (a client hanging up mid-response) returns the error, writes
+// nothing more, and never buffers past flushAt plus one event.
+func TestWriteChromeStopsAtWriteError(t *testing.T) {
+	log := &Log{Meta: Meta{Policy: "PAR-BS", Cores: 2}}
+	for i := int64(0); i < 20_000; i++ {
+		log.Events = append(log.Events, Event{Kind: KindCommand, Cycle: i, Req: i, Row: i,
+			Thread: int32(i % 2), Bank: int32(i % 8)})
+	}
+	var full bytes.Buffer
+	if err := WriteChrome(&full, log); err != nil {
+		t.Fatal(err)
+	}
+	const capacity = flushAt + 1024
+	for _, n := range []int{0, 1, flushAt, 3*flushAt + 17} {
+		if full.Len() < n+2*capacity {
+			t.Fatalf("log renders %d bytes, too few to fail after %d", full.Len(), n)
+		}
+		w := &failAfter{n: n}
+		c := &chromeWriter{w: w, buf: make([]byte, 0, capacity)}
+		if err := c.render(log); !errors.Is(err, errWriteFailed) {
+			t.Errorf("fail after %d bytes: error %v, want %v", n, err, errWriteFailed)
+		}
+		if w.late != 0 {
+			t.Errorf("fail after %d bytes: %d bytes written after the failure", n, w.late)
+		}
+		if cap(c.buf) != capacity {
+			t.Errorf("fail after %d bytes: buffer grew to %d bytes, past flushAt and one event", n, cap(c.buf))
+		}
 	}
 }

@@ -1,7 +1,9 @@
 #!/bin/sh
 # End-to-end smoke test for parbs-serve: build the binary, boot it on a
 # private port, submit one quick simulation over HTTP, poll until it
-# completes, verify a cached replay answers with 200, and check that the
+# completes, and verify a cached replay answers with 200. Then do the same
+# for a short run with trace events, whose views must embed the Chrome
+# trace and whose /trace must serve the event log. Finally check that the
 # /metrics counters reconcile. Exits nonzero on any failure.
 #
 # Usage: scripts/serve_smoke.sh [port]   (default 18380)
@@ -37,37 +39,71 @@ spec='{
   "telemetry": {"epoch_cycles": 10240}
 }'
 
-code="$(curl -s -o "$tmp/submit.json" -w '%{http_code}' -d "$spec" "$base/v1/runs")"
-[ "$code" = "202" ] || { echo "serve_smoke: submit returned $code" >&2; cat "$tmp/submit.json" >&2; exit 1; }
-id="$(sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' "$tmp/submit.json" | head -1)"
-[ -n "$id" ] || { echo "serve_smoke: no run id in submit response" >&2; exit 1; }
+# submit SPEC NAME: POST SPEC, expect 202, and print the new run's id.
+submit() {
+	code="$(curl -s -o "$tmp/$2-submit.json" -w '%{http_code}' -d "$1" "$base/v1/runs")"
+	[ "$code" = "202" ] || { echo "serve_smoke: submit $2 returned $code" >&2; cat "$tmp/$2-submit.json" >&2; exit 1; }
+	sid="$(sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' "$tmp/$2-submit.json" | head -1)"
+	[ -n "$sid" ] || { echo "serve_smoke: no run id in submit $2 response" >&2; exit 1; }
+	echo "$sid"
+}
 
-status=""
-for _ in $(seq 1 600); do
-	code="$(curl -s -o "$tmp/run.json" -w '%{http_code}' "$base/v1/runs/$id")"
-	[ "$code" = "200" ] || { echo "serve_smoke: GET $id returned $code" >&2; exit 1; }
-	status="$(sed -n 's/.*"status": *"\([^"]*\)".*/\1/p' "$tmp/run.json" | head -1)"
-	case "$status" in
-	done) break ;;
-	failed) echo "serve_smoke: run failed:" >&2; cat "$tmp/run.json" >&2; exit 1 ;;
-	esac
-	sleep 0.5
-done
-[ "$status" = "done" ] || { echo "serve_smoke: run stuck in '$status'" >&2; exit 1; }
+# wait_done ID OUT: poll GET /v1/runs/ID into OUT until the run is done.
+wait_done() {
+	status=""
+	for _ in $(seq 1 600); do
+		code="$(curl -s -o "$2" -w '%{http_code}' "$base/v1/runs/$1")"
+		[ "$code" = "200" ] || { echo "serve_smoke: GET $1 returned $code" >&2; exit 1; }
+		status="$(sed -n 's/.*"status": *"\([^"]*\)".*/\1/p' "$2" | head -1)"
+		case "$status" in
+		done) return 0 ;;
+		failed) echo "serve_smoke: run $1 failed:" >&2; cat "$2" >&2; exit 1 ;;
+		esac
+		sleep 0.5
+	done
+	echo "serve_smoke: run $1 stuck in '$status'" >&2
+	exit 1
+}
+
+# replay SPEC NAME: an identical resubmission must replay from the cache:
+# 200, no new run.
+replay() {
+	code="$(curl -s -o "$tmp/$2-replay.json" -w '%{http_code}' -d "$1" "$base/v1/runs")"
+	[ "$code" = "200" ] || { echo "serve_smoke: cached replay of $2 returned $code, want 200" >&2; exit 1; }
+	grep -q '"cached": *true' "$tmp/$2-replay.json" || { echo "serve_smoke: replay of $2 not marked cached" >&2; exit 1; }
+}
+
+id="$(submit "$spec" plain)"
+wait_done "$id" "$tmp/run.json"
 grep -q '"scheduler": *"PAR-BS"' "$tmp/run.json" || { echo "serve_smoke: report missing from terminal view" >&2; exit 1; }
 grep -q 'parbs.telemetry/v1' "$tmp/run.json" || { echo "serve_smoke: telemetry missing from terminal view" >&2; exit 1; }
+replay "$spec" plain
 
-# Identical resubmission must replay from the cache: 200, no new run.
-code="$(curl -s -o "$tmp/replay.json" -w '%{http_code}' -d "$spec" "$base/v1/runs")"
-[ "$code" = "200" ] || { echo "serve_smoke: cached replay returned $code, want 200" >&2; exit 1; }
-grep -q '"cached": *true' "$tmp/replay.json" || { echo "serve_smoke: replay not marked cached" >&2; exit 1; }
+# A short run with trace events: its view embeds the Chrome trace rendered
+# from the stored event log, its cached replay carries it too, and /trace
+# serves the log as parbs.trace/v1 JSONL, run header first.
+tspec='{
+  "client": "smoke",
+  "system":    {"cores": 4, "warmup_cycles": 2000, "measure_cycles": 20000},
+  "workload":  {"mix": "CSI"},
+  "scheduler": {"name": "PAR-BS"},
+  "trace":     {"events": true}
+}'
+tid="$(submit "$tspec" traced)"
+wait_done "$tid" "$tmp/traced.json"
+grep -q '"traceEvents"' "$tmp/traced.json" || { echo "serve_smoke: Chrome trace missing from traced view" >&2; exit 1; }
+grep -q '"dropped": 0' "$tmp/traced.json" || { echo "serve_smoke: traced view's trace dropped events" >&2; exit 1; }
+replay "$tspec" traced
+grep -q '"traceEvents"' "$tmp/traced-replay.json" || { echo "serve_smoke: Chrome trace missing from traced replay" >&2; exit 1; }
+curl -fsS -o "$tmp/trace.jsonl" "$base/v1/runs/$tid/trace" || { echo "serve_smoke: GET trace of $tid failed" >&2; exit 1; }
+head -n 1 "$tmp/trace.jsonl" | grep -q '"kind":"run"' || { echo "serve_smoke: trace does not start with the run header" >&2; head -c 300 "$tmp/trace.jsonl" >&2; exit 1; }
 
 curl -fsS "$base/metrics" >"$tmp/metrics"
-grep -q '^parbs_serve_jobs_accepted_total 2$' "$tmp/metrics" || { echo "serve_smoke: accepted != 2" >&2; cat "$tmp/metrics" >&2; exit 1; }
-grep -q '^parbs_serve_jobs_completed_total 2$' "$tmp/metrics" || { echo "serve_smoke: completed != 2" >&2; cat "$tmp/metrics" >&2; exit 1; }
-grep -q '^parbs_serve_cache_hits_total 1$' "$tmp/metrics" || { echo "serve_smoke: cache_hits != 1" >&2; cat "$tmp/metrics" >&2; exit 1; }
+grep -q '^parbs_serve_jobs_accepted_total 4$' "$tmp/metrics" || { echo "serve_smoke: accepted != 4" >&2; cat "$tmp/metrics" >&2; exit 1; }
+grep -q '^parbs_serve_jobs_completed_total 4$' "$tmp/metrics" || { echo "serve_smoke: completed != 4" >&2; cat "$tmp/metrics" >&2; exit 1; }
+grep -q '^parbs_serve_cache_hits_total 2$' "$tmp/metrics" || { echo "serve_smoke: cache_hits != 2" >&2; cat "$tmp/metrics" >&2; exit 1; }
 
 kill "$pid"
 wait "$pid" 2>/dev/null || true
 pid=""
-echo "serve_smoke: OK (run $id completed, replayed from cache, metrics reconcile)"
+echo "serve_smoke: OK (runs $id and traced $tid completed, replayed from cache, trace served, metrics reconcile)"

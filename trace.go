@@ -84,9 +84,9 @@ func (t *Tracer) EventsJSONL() ([]byte, error) {
 }
 
 // exact returns b in a slice of its own length. The in-memory renderings
-// are artifacts callers keep (parbs-serve caches them per job), and the
-// growth slack of the buffer they were written into would otherwise stay
-// allocated with them: up to half the capacity of a Chrome trace.
+// are artifacts a caller may keep, and the growth slack of the buffer they
+// were written into would otherwise stay allocated with them: up to half
+// the capacity of a Chrome trace.
 func exact(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }
 
 // WriteChrome renders the recorded run as Chrome trace-event JSON, loadable
